@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigInvalid, EpisodeFinished
+from .errors import ConfigInvalid, EpisodeFinished, InvalidAction
 from .market import (
     MarketFactor,
     PriceEnvelope,
@@ -357,23 +357,28 @@ def _clear(quotes: list[Quotation], m: MarketFactor, cfg: EnvConfig, t: int) -> 
 def step(state: GlobalState, joint_action: list[Action]) -> StepResult:
     """Advance one hour: quote, clear, settle, reward, observe.
 
-    Mutates `state` (hour, storage) and returns the step outcome.
+    Mutates `state` (hour, storage) and returns the step outcome. The whole
+    joint action is decoded and validated before any state changes, so a
+    rejected joint action leaves `state` untouched.
     """
     cfg = state.config
     if state.hour >= cfg.horizon:
         raise EpisodeFinished(f"episode already finished after {cfg.horizon} steps")
     if len(joint_action) != cfg.n_agents:
-        raise ValueError(f"need {cfg.n_agents} actions, got {len(joint_action)}")
+        raise InvalidAction(f"need {cfg.n_agents} actions, got {len(joint_action)}")
+    for i, a in enumerate(joint_action):
+        if not all(math.isfinite(v) for v in (a.price_raw, a.qty_frac, a.reservation)):
+            raise InvalidAction(f"agent {i}: non-finite action {a}")
 
     t = state.hour
     envelope = cfg.envelope_at(t)
 
-    quotes = []
-    for i, action in enumerate(joint_action):
-        quote, reservation = decode_action(action, state, i)
+    decoded = [decode_action(action, state, i) for i, action in enumerate(joint_action)]
+    quotes = [quote for quote, _ in decoded]
+    for quote in quotes:
         require_valid(quote, envelope)
+    for i, (_, reservation) in enumerate(decoded):
         state.ess[i] = replace(state.ess[i], reservation=reservation)
-        quotes.append(quote)
 
     m = compute_market_factor(state)
     ledger = _clear(quotes, m, cfg, t)

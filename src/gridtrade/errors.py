@@ -43,6 +43,10 @@ class EpisodeFinished(GridTradeError):
     """step() called on an environment whose episode already ended."""
 
 
+class InvalidAction(GridTradeError, ValueError):
+    """A joint action has the wrong agent count or a non-finite field."""
+
+
 # --- marl -----------------------------------------------------------------
 
 class ShapeMismatch(GridTradeError):

@@ -2,10 +2,12 @@
 
 A Tensor wraps an ndarray and records the operation that produced it;
 backward() replays the tape in reverse topological order accumulating
-gradients into every reachable parameter. The op set is exactly what the
-recurrent policy, the value network, and the PPO losses need — nothing
-speculative. Broadcasting follows numpy semantics, with gradients summed
-back over broadcast axes.
+gradients into every reachable parameter. The op set is what the
+recurrent policy, the value network, and the PPO losses need; the
+recurrent layer is one fused op (`lstm_seq`) with a hand-written backward,
+and the elementwise `sigmoid`/`tanh`/`concat` ops compose the per-step
+reference it is tested against. Broadcasting follows numpy semantics, with
+gradients summed back over broadcast axes.
 """
 
 from __future__ import annotations
@@ -132,6 +134,13 @@ class Tensor:
             _backward=lambda g: (g @ other.data.T, self.data.T @ g),
         )
 
+    def reshape(self, *shape):
+        return Tensor(
+            self.data.reshape(*shape),
+            _parents=(self,),
+            _backward=lambda g: (g.reshape(self.data.shape),),
+        )
+
     def __getitem__(self, idx):
         def back(g):
             out = np.zeros_like(self.data)
@@ -161,13 +170,17 @@ def as_tensor(value) -> Tensor:
 
 # --- elementwise nonlinearities ---------------------------------------------
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
     return Tensor(out, _parents=(x,), _backward=lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    out = _sigmoid(x.data)
     return Tensor(out, _parents=(x,), _backward=lambda g: (g * out * (1.0 - out),))
 
 
@@ -220,3 +233,70 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         _parents=tuple(tensors),
         _backward=back,
     )
+
+
+# --- fused recurrent layer --------------------------------------------------
+
+def lstm_seq(x, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
+    """Zero-initialised single-layer LSTM over a batch of whole sequences.
+
+    x is (E, T, D): E independent sequences of T steps. Returns the hidden
+    states (E, T, H) as one tape node; gate order is i, f, g, o and each
+    step computes z = x_t Wx + h_{t-1} Wh + b. The backward pass is
+    hand-written backpropagation through time: the recurrence runs as a
+    T-step loop over (E, H) arrays, and the weight gradients are one matmul
+    each over all E*T steps.
+    """
+    x = as_tensor(x)
+    wx, wh = Wx.data, Wh.data
+    E, T, D = x.data.shape
+    H = wh.shape[0]
+    xw = (x.data.reshape(E * T, D) @ wx).reshape(E, T, 4 * H)
+    gates = np.empty((E, T, 4 * H))     # activated i, f, g, o
+    cells = np.empty((E, T, H))
+    tanh_c = np.empty((E, T, H))
+    hs = np.empty((E, T, H))
+    h = np.zeros((E, H))
+    c = np.zeros((E, H))
+    for t in range(T):
+        z = xw[:, t] + h @ wh + b.data
+        act = gates[:, t]
+        act[:, : 2 * H] = _sigmoid(z[:, : 2 * H])
+        act[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+        act[:, 3 * H :] = _sigmoid(z[:, 3 * H :])
+        i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
+        c = f * c + i * g
+        cells[:, t] = c
+        tanh_c[:, t] = np.tanh(c)
+        h = o * tanh_c[:, t]
+        hs[:, t] = h
+
+    def back(dhs):
+        dz = np.empty((E, T, 4 * H))
+        dh_next = np.zeros((E, H))
+        dc_next = np.zeros((E, H))
+        for t in range(T - 1, -1, -1):
+            act = gates[:, t]
+            i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
+            tc = tanh_c[:, t]
+            c_prev = cells[:, t - 1] if t > 0 else 0.0
+            dh = dhs[:, t] + dh_next
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            d = dz[:, t]
+            d[:, :H] = dc * g * i * (1.0 - i)
+            d[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+            d[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+            d[:, 3 * H :] = dh * tc * o * (1.0 - o)
+            dc_next = dc * f
+            dh_next = d @ wh.T
+        dz_flat = dz.reshape(E * T, 4 * H)
+        h_prev = np.concatenate([np.zeros((E, 1, H)), hs[:, :-1]], axis=1)
+        dx = (dz_flat @ wx.T).reshape(E, T, D) if x.requires_grad else None
+        return (
+            dx,
+            x.data.reshape(E * T, D).T @ dz_flat,
+            h_prev.reshape(E * T, H).T @ dz_flat,
+            dz_flat.sum(axis=0),
+        )
+
+    return Tensor(hs, _parents=(x, Wx, Wh, b), _backward=back)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ..errors import NonFiniteInput
-from .autodiff import Tensor, clip, concat, relu, sigmoid, tanh
+from .autodiff import Tensor, clip, lstm_seq, relu
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -106,17 +106,6 @@ class LSTMCell:
     def params(self):
         return [self.Wx, self.Wh, self.b]
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        H = self.hidden
-        z = x @ self.Wx + h @ self.Wh + self.b
-        i = sigmoid(z[:, 0:H])
-        f = sigmoid(z[:, H : 2 * H])
-        g = tanh(z[:, 2 * H : 3 * H])
-        o = sigmoid(z[:, 3 * H : 4 * H])
-        c_new = f * c + i * g
-        h_new = o * tanh(c_new)
-        return h_new, c_new
-
     def step_fast(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         H = self.hidden
         z = x @ self.Wx.data + h @ self.Wh.data + self.b.data
@@ -167,22 +156,21 @@ class PolicyNet:
         return np.zeros((1, H)), np.zeros((1, H))
 
     def forward_seq(self, obs_seq: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Taped forward over a whole episode sequence.
+        """Taped forward over whole episode sequences, hidden state zeroed at
+        each episode start.
 
-        Returns (means (T, action_dim), clamped log_std (action_dim,)).
+        `obs_seq` is one episode (T, obs_dim) or a stack of E episodes
+        (E, T, obs_dim). Returns (means of shape (T, action_dim) or
+        (E, T, action_dim), clamped log_std (action_dim,)).
         """
-        T = obs_seq.shape[0]
-        h = Tensor(np.zeros((1, self.lstm.hidden)))
-        c = Tensor(np.zeros((1, self.lstm.hidden)))
-        hiddens = []
-        for t in range(T):
-            x = Tensor(obs_seq[t : t + 1])
-            h, c = self.lstm.step(x, h, c)
-            hiddens.append(h)
-        feats = concat(hiddens, axis=0)
+        obs = np.asarray(obs_seq, dtype=np.float64)
+        batch = obs.reshape(-1, *obs.shape[-2:])
+        E, T, _ = batch.shape
+        lstm = self.lstm
+        feats = lstm_seq(batch, lstm.Wx, lstm.Wh, lstm.b).reshape(E * T, lstm.hidden)
         z = relu(self.fc1(feats))
         z = relu(self.fc2(z))
-        means = self.mean_head(z)
+        means = self.mean_head(z).reshape(*obs.shape[:-1], self.action_dim)
         return means, clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
     def distribution(

@@ -125,7 +125,8 @@ def policy_logp_and_entropy(
 ) -> tuple[Tensor, Tensor]:
     """Taped log-probabilities of stored pre-squash actions, plus entropy.
 
-    The tanh-squash Jacobian depends only on the stored sample, so it is a
+    `means` and `presquash` share their shape (..., action_dim); the
+    log-probabilities have the leading shape. The tanh-squash Jacobian depends only on the stored sample, so it is a
     constant offset: it keeps reported log-probs consistent with rollout
     values without contributing gradient. Entropy is the closed form of
     the pre-squash Gaussian.
@@ -134,7 +135,7 @@ def policy_logp_and_entropy(
     diff = as_tensor(u) - means
     z = diff * exp(-log_std)
     half_log_2pi = 0.5 * np.log(2.0 * np.pi)
-    gauss = (z * z * (-0.5) - log_std - half_log_2pi).sum(axis=1)
+    gauss = (z * z * (-0.5) - log_std - half_log_2pi).sum(axis=-1)
     logp = gauss - as_tensor(squash_correction(u))
     entropy = (log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))).sum()
     return logp, entropy

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..env import Action, EnvConfig, TradingEnv, observation_dim
 from ..scenario import rng_stream
-from .autodiff import concat as concat_tensors
 from .nets import CriticNet, PolicyNet
 from .ppo import (
     RolloutBuffer,
@@ -265,24 +264,26 @@ def train(
 def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
     """One PPO update round over the buffered episode chunks.
 
-    The recurrent actor is re-run per episode chunk (hidden state resets at
-    episode boundaries); minibatches index into the concatenated steps.
+    Each agent's chunks are stacked once as (episodes, T, ...) arrays. The
+    recurrent actor re-runs over the whole stack in one batched pass (hidden
+    state resets at episode boundaries); minibatches index into the steps
+    flattened in episode order.
     """
     n = len(nets)
-    advantages, targets, logp_old, presquash, global_obs = [], [], [], [], []
+    advantages, targets, logp_old, presquash, global_obs, obs = [], [], [], [], [], []
     for i in range(n):
-        adv_chunks, tgt_chunks = [], []
-        for chunk in pending[i]:
-            adv = compute_gae(
-                chunk["rewards"], chunk["values"], 0.0, hyper.gamma, hyper.lam
-            )
-            adv_chunks.append(adv)
-            tgt_chunks.append(adv + chunk["values"])
-        advantages.append(np.concatenate(adv_chunks))
-        targets.append(np.concatenate(tgt_chunks))
-        logp_old.append(np.concatenate([c["logp"] for c in pending[i]]))
-        presquash.append(np.concatenate([c["presquash"] for c in pending[i]]))
-        global_obs.append(np.concatenate([c["global_obs"] for c in pending[i]]))
+        chunks = pending[i]
+        adv = np.stack([
+            compute_gae(c["rewards"], c["values"], 0.0, hyper.gamma, hyper.lam)
+            for c in chunks
+        ])
+        values = np.stack([c["values"] for c in chunks])
+        advantages.append(adv.ravel())
+        targets.append((adv + values).ravel())
+        logp_old.append(np.concatenate([c["logp"] for c in chunks]))
+        global_obs.append(np.concatenate([c["global_obs"] for c in chunks]))
+        presquash.append(np.stack([c["presquash"] for c in chunks]))
+        obs.append(np.stack([c["obs"] for c in chunks]))
 
     total = len(advantages[0])
     mb = min(hyper.minibatch_size, total)
@@ -293,17 +294,10 @@ def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
             if idx.size < 2:
                 continue  # a singleton batch cannot be advantage-normalized
             for i in range(n):
-                logp_chunks = []
-                entropy = None
-                for chunk in pending[i]:
-                    means, log_std = nets[i].actor.forward_seq(chunk["obs"])
-                    logp_c, entropy = policy_logp_and_entropy(
-                        means, log_std, chunk["presquash"]
-                    )
-                    logp_chunks.append(logp_c)
-                logp_all = concat_tensors(logp_chunks)
+                means, log_std = nets[i].actor.forward_seq(obs[i])
+                logp, entropy = policy_logp_and_entropy(means, log_std, presquash[i])
                 loss = actor_loss(
-                    logp_all[idx],
+                    logp.reshape(-1)[idx],
                     logp_old[i][idx],
                     normalize_advantages(advantages[i][idx]),
                     entropy,
@@ -319,13 +313,3 @@ def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
                 critic_opts[i].zero_grad()
                 vloss.backward()
                 critic_opts[i].step()
-
-
-def greedy_policy_actions(nets, obs_vectors, hidden, normalizer):
-    """Deterministic (mode) actions for evaluation; returns (actions, hidden)."""
-    actions = []
-    for i, ag in enumerate(nets):
-        vec = normalizer(obs_vectors[i], i)
-        dist, hidden[i] = ag.actor.distribution(vec, hidden[i])
-        actions.append(Action.from_array(dist.mode()))
-    return actions, hidden

@@ -121,9 +121,12 @@ def export_tidy(metrics_rows: list[dict], n_agents: int, fmt: str) -> str:
 CHECKPOINT_VERSION = 1
 
 
+def _canonical(payload: dict) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _payload_checksum(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
 def save_checkpoint(
@@ -152,9 +155,15 @@ def save_checkpoint(
             for ag in nets
         ],
     }
-    envelope = {"checksum": _payload_checksum(payload), "payload": payload}
+    # The payload is rendered once: the checksum is taken over the same
+    # canonical bytes that form the envelope's "payload" member.
+    body = _canonical(payload)
+    checksum = hashlib.sha256(body).hexdigest()
     try:
-        Path(path).write_text(json.dumps(envelope, sort_keys=True))
+        with open(path, "wb") as fh:
+            fh.write(b'{"checksum":"%s","payload":' % checksum.encode())
+            fh.write(body)
+            fh.write(b"}")
     except OSError as e:
         raise IoError(f"cannot write checkpoint {path}: {e}") from e
 

@@ -146,6 +146,27 @@ class TestTrain:
             restored[2].actor.lstm.Wx.data, nets[2].actor.lstm.Wx.data
         )
 
+    def test_spaced_envelope_format_still_loads(self, tmp_path):
+        """Checkpoints written as json.dumps(envelope, sort_keys=True), with
+        default separators, verify and restore like compact ones."""
+        import numpy as np
+
+        cfg_env = EnvConfig()
+        hyper = Hyperparams(lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
+        nets = build_nets(cfg_env, hyper, seed=0)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, nets, hyper, "h", 0, 5)
+        compact = path.read_bytes()
+        envelope = json.loads(compact)
+        path.write_text(json.dumps(envelope, sort_keys=True))
+        assert path.read_bytes() != compact
+        restored, episode = load_checkpoint(path, cfg_env, hyper, seed=1)
+        assert episode == 5
+        for got, want in zip(restored, nets):
+            for p, q in zip(got.actor.params() + got.critic.params(),
+                            want.actor.params() + want.critic.params()):
+                np.testing.assert_array_equal(p.data, q.data)
+
 
 class TestExport:
     def test_tidy_row_count(self, tmp_path):

@@ -16,7 +16,7 @@ from gridtrade.env import (
     step,
     step_record,
 )
-from gridtrade.errors import ConfigInvalid, EpisodeFinished
+from gridtrade.errors import ConfigInvalid, EpisodeFinished, GridTradeError, InvalidAction
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
     EssState,
@@ -347,6 +347,29 @@ class TestStep:
         final = [s.energy for s in env.state.ess]
         env.reset(seed=4)
         assert [s.energy for s in env.state.ess] == final
+
+    @pytest.mark.parametrize("joint", [
+        [Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
+         Action(0.3, 0.5, float("nan")), Action(0.3, 0.5, 1.0)],
+        [Action(0.3, 0.5, 0.3), Action(0.3, float("nan"), 0.2),
+         Action(0.3, 0.5, 0.4), Action(0.3, 0.5, 1.0)],
+        [Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
+         Action(0.3, 0.5, 0.4), Action(float("inf"), 0.5, 1.0)],
+        [Action(0.3, 0.5, 0.3)] * 3,
+        [Action(0.3, 0.5, 0.3)] * 5,
+    ])
+    def test_rejected_joint_action_changes_no_state(self, joint):
+        env = TradingEnv(quiet_config())
+        env.reset(seed=5)
+        env.step([Action(0.0, 0.0, 0.7)] * 4)
+        before = list(env.state.ess)
+        with pytest.raises(InvalidAction) as info:
+            env.step(joint)
+        assert isinstance(info.value, GridTradeError)
+        assert isinstance(info.value, ValueError)
+        assert env.state.hour == 1
+        assert env.state.ess == before
+        assert [s.reservation for s in env.state.ess] == [0.7] * 4
 
     def test_step_record_is_json_serializable(self):
         import json

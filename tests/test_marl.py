@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from gridtrade.errors import NonFiniteInput, ShapeMismatch
-from gridtrade.marl.autodiff import Tensor
+from gridtrade.marl.autodiff import Tensor, clip, concat, lstm_seq, relu, sigmoid, tanh
 from gridtrade.marl.nets import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     CriticNet,
     DiagGaussian,
     PolicyNet,
@@ -347,6 +349,86 @@ class TestGradientCheck:
 
         report = gradient_check([w], loss_fn, tol=1e-4)
         assert not report.passed
+
+
+def per_step_means(net, episodes):
+    """Reference actor forward: one taped LSTM step per episode and hour,
+    built from elementwise autodiff primitives."""
+    lstm, H = net.lstm, net.lstm.hidden
+    hiddens = []
+    for seq in episodes:
+        h = Tensor(np.zeros((1, H)))
+        c = Tensor(np.zeros((1, H)))
+        for t in range(seq.shape[0]):
+            z = Tensor(seq[t : t + 1]) @ lstm.Wx + h @ lstm.Wh + lstm.b
+            i = sigmoid(z[:, 0:H])
+            f = sigmoid(z[:, H : 2 * H])
+            g = tanh(z[:, 2 * H : 3 * H])
+            o = sigmoid(z[:, 3 * H : 4 * H])
+            c = f * c + i * g
+            h = o * tanh(c)
+            hiddens.append(h)
+    z = relu(net.fc1(concat(hiddens, axis=0)))
+    z = relu(net.fc2(z))
+    return net.mean_head(z)
+
+
+class TestLstmSeq:
+    def test_batched_gradient_check(self):
+        rng = np.random.default_rng(11)
+        E, T, D, H = 3, 4, 5, 3
+        x = Tensor(rng.normal(size=(E, T, D)), requires_grad=True)
+        Wx = Tensor(rng.normal(0.0, 0.5, (D, 4 * H)), requires_grad=True)
+        Wh = Tensor(rng.normal(0.0, 0.5, (H, 4 * H)), requires_grad=True)
+        b = Tensor(rng.normal(0.0, 0.5, 4 * H), requires_grad=True)
+        weight = rng.normal(size=(E, T, H))
+
+        def loss_fn():
+            out = lstm_seq(x, Wx, Wh, b)
+            return (out * out * weight).sum()
+
+        report = gradient_check([x, Wx, Wh, b], loss_fn, tol=1e-4)
+        assert report.passed, f"max rel error {report.max_rel_error}"
+
+    def test_batched_rows_equal_per_episode_calls(self):
+        rng = np.random.default_rng(12)
+        net = PolicyNet(obs_dim=7, lstm_hidden=5, trunk_hidden=(6, 6),
+                        rng=np.random.default_rng(13))
+        episodes = rng.normal(size=(4, 6, 7))
+        means, _ = net.forward_seq(episodes)
+        assert means.shape == (4, 6, 3)
+        for e in range(4):
+            single, _ = net.forward_seq(episodes[e])
+            np.testing.assert_allclose(means.data[e], single.data, rtol=1e-13, atol=1e-15)
+
+    def test_matches_per_step_reference_at_reference_size(self):
+        rng = np.random.default_rng(14)
+        E, T, D = 8, 24, 27
+        net = PolicyNet(obs_dim=D, lstm_hidden=32, trunk_hidden=(64, 64),
+                        log_std_init=-0.7, rng=np.random.default_rng(15))
+        obs = rng.normal(size=(E, T, D))
+        presquash = rng.normal(size=(E, T, 3))
+        logp_old = rng.normal(size=E * T) * 0.1 - 2.0
+        idx = rng.permutation(E * T)[:150]
+        adv = normalize_advantages(rng.normal(size=idx.size))
+
+        def loss_and_grads(means_fn):
+            means = means_fn()
+            log_std = clip(net.log_std, LOG_STD_MIN, LOG_STD_MAX)
+            logp, entropy = policy_logp_and_entropy(
+                means.reshape(E * T, 3), log_std, presquash.reshape(E * T, 3)
+            )
+            loss = actor_loss(logp[idx], logp_old[idx], adv, entropy, 0.2, 0.003)
+            for p in net.params():
+                p.grad = None
+            loss.backward()
+            return float(loss.data), [p.grad.copy() for p in net.params()]
+
+        fused_loss, fused = loss_and_grads(lambda: net.forward_seq(obs)[0])
+        ref_loss, ref = loss_and_grads(lambda: per_step_means(net, obs))
+        assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
+        for got, want in zip(fused, ref):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRolloutBuffer:
