@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Storage physics and the hourly settlement recourse.
+"""Day-ahead procurement, bid caps and the hourly settlement recourse.
 
-Shows the state-of-charge update with efficiencies, then walks one
-microgrid through the recourse ladder: over-storage shedding, surplus
-charging, deficit discharge, and the emergency/feed-in residuals, checking
-the power-balance identity as we go.
+Shows the day-ahead quantity and the role-dependent bid caps, then walks
+one microgrid with 95%-efficient storage through the recourse ladder:
+over-storage shedding, surplus charging, deficit discharge, and the
+emergency/feed-in residuals, checking the power-balance identity as we go.
 """
 
 from gridtrade.market import PriceEnvelope
@@ -15,7 +15,6 @@ from gridtrade.microgrid import (
     day_ahead_quantity,
     max_bid_quantity,
     settle_and_balance,
-    soc_step,
 )
 
 params = MicrogridParams(
@@ -24,13 +23,7 @@ params = MicrogridParams(
 )
 prices = PriceEnvelope(feed_in=0.2, day_ahead=0.5, emergency=2.5)
 
-print("state-of-charge stepping (eta_ch = eta_dis = 0.95):")
-for power in (+2.0, 0.0, -2.0, +9.0):
-    result = soc_step(4.0, power, dt=1.0, params=params)
-    note = " (clamped)" if result.clamped else ""
-    print(f"  E=4.0 kWh, t_ess={power:+.1f} kW -> {result.energy:.3f} kWh{note}")
-
-print("\nday-ahead procurement (beta=0.95):")
+print("day-ahead procurement (beta=0.95):")
 for load_f, gen_f in ((10, 4), (4, 10), (7, 7)):
     q = day_ahead_quantity(load_f, gen_f, 0.95)
     print(f"  forecast load {load_f}, pv {gen_f} -> q_da = {q:.2f} kWh")

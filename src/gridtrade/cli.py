@@ -17,8 +17,8 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .env import MECHANISMS
-from .errors import ConfigInvalid, GridTradeError
-from .marl.train import train
+from .errors import ConfigInvalid, GridTradeError, IoError
+from .marl.train import episode_metrics, train
 from .policies import ScriptedPolicy
 from .reporting import (
     METRIC_NAMES,
@@ -150,8 +150,7 @@ def cmd_export(args) -> int:
         rows = read_metrics_csv(src)
         n_agents = _agent_count_from_rows(rows)
     else:
-        records = read_trajectory(src)
-        rows, n_agents = _metrics_from_trajectory(records)
+        rows, n_agents = _metrics_from_trajectory(read_trajectory(src), src)
     text = export_tidy(rows, n_agents, args.format)
     out = Path(args.out)
     if out.is_dir():
@@ -170,35 +169,25 @@ def _agent_count_from_rows(rows) -> int:
     return n
 
 
-def _metrics_from_trajectory(records: list[dict]) -> tuple[list[dict], int]:
-    """Aggregate step records into the per-episode hourly-mean table."""
-    if not records:
-        return [], 0
-    episodes: dict[int, list[dict]] = {}
-    for rec in records:
-        episodes.setdefault(rec["episode"], []).append(rec)
-    n = len(records[0]["rewards"])
-    rows = []
-    for ep in sorted(episodes):
-        steps = sorted(episodes[ep], key=lambda r: r["hour"])
-        rewards = np.array([s["rewards"] for s in steps])
-        emergency = np.array([[x["q_e"] for x in s["settlements"]] for s in steps])
-        feedin = np.array([[x["q_fit"] for x in s["settlements"]] for s in steps])
-        storage = np.array([s["soc"] for s in steps])
-        row = {
-            "episode": ep,
-            "reward": float(rewards.mean()),
-            "emergency_kwh": float(emergency.mean()),
-            "feedin_kwh": float(feedin.mean()),
-            "storage_kwh": float(storage.mean()),
-        }
-        for i in range(n):
-            row[f"reward_agent{i}"] = float(rewards[:, i].mean())
-            row[f"emergency_kwh_agent{i}"] = float(emergency[:, i].mean())
-            row[f"feedin_kwh_agent{i}"] = float(feedin[:, i].mean())
-            row[f"storage_kwh_agent{i}"] = float(storage[:, i].mean())
-        rows.append(row)
-    return rows, n
+def _metrics_from_trajectory(records: list[dict], path: Path) -> tuple[list[dict], int]:
+    """Group step records by episode and hour into the per-episode table."""
+    try:
+        episodes: dict[int, list[dict]] = {}
+        for rec in records:
+            episodes.setdefault(rec["episode"], []).append(rec)
+        rows = []
+        for ep in sorted(episodes):
+            steps = sorted(episodes[ep], key=lambda r: r["hour"])
+            rows.append(episode_metrics(
+                ep,
+                [s["rewards"] for s in steps],
+                [[x["q_e"] for x in s["settlements"]] for s in steps],
+                [[x["q_fit"] for x in s["settlements"]] for s in steps],
+                [s["soc"] for s in steps],
+            ))
+        return rows, len(records[0]["rewards"]) if records else 0
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise IoError(f"malformed trajectory record in {path}: {e!r}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:

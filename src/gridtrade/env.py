@@ -122,6 +122,12 @@ class EnvConfig:
         )
 
 
+#: the action box, in (price_raw, qty_frac, reservation) order
+ACTION_DIM = 3
+ACTION_LOW = np.array([-1.0, 0.0, 0.0])
+ACTION_HIGH = np.array([1.0, 1.0, 1.0])
+
+
 @dataclass(frozen=True)
 class Action:
     """Squashed agent action: signed price position, quantity fraction, reservation."""
@@ -131,20 +137,16 @@ class Action:
     reservation: float
 
     def clipped(self) -> "Action":
+        lo, hi = ACTION_LOW.tolist(), ACTION_HIGH.tolist()
         return Action(
-            price_raw=min(max(self.price_raw, -1.0), 1.0),
-            qty_frac=min(max(self.qty_frac, 0.0), 1.0),
-            reservation=min(max(self.reservation, 0.0), 1.0),
+            price_raw=min(max(self.price_raw, lo[0]), hi[0]),
+            qty_frac=min(max(self.qty_frac, lo[1]), hi[1]),
+            reservation=min(max(self.reservation, lo[2]), hi[2]),
         )
 
     @classmethod
     def from_array(cls, arr) -> "Action":
         return cls(float(arr[0]), float(arr[1]), float(arr[2])).clipped()
-
-
-ACTION_DIM = 3
-ACTION_LOW = np.array([-1.0, 0.0, 0.0])
-ACTION_HIGH = np.array([1.0, 1.0, 1.0])
 
 # window feature order
 WINDOW_FIELDS = ("q_da", "load_est", "gen_est", "p_e")

@@ -22,8 +22,6 @@ import json
 import csv as _csv
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CrossViolation, NegativeQuantity, PriceOutOfEnvelope
 from .money import from_micro, to_micro
 
@@ -118,36 +116,20 @@ class Trade:
 
 @dataclass
 class TradeLedger:
-    """Clearing result: per-cell quantities/prices plus money aggregates.
+    """Clearing result: the trade list plus per-agent and money aggregates.
 
-    ``quantities[b, s]`` is the energy seller ``seller_ids[s]`` delivers to
-    buyer ``buyer_ids[b]``; ``prices`` holds the buyer-side price per cell
-    and ``seller_prices`` the seller-side one (identical for the
-    budget-balanced mechanisms). Money aggregates run through integer
-    micro-units so community balances are exact.
+    ``buyer_ids`` and ``seller_ids`` list the active book sides in priority
+    order. Money aggregates run through integer micro-units so community
+    balances are exact.
     """
 
     buyer_ids: list[int]
     seller_ids: list[int]
-    quantities: np.ndarray
-    prices: np.ndarray
-    seller_prices: np.ndarray
     trades: list[Trade] = field(default_factory=list)
 
     @classmethod
     def from_trades(cls, buyer_ids, seller_ids, trades) -> "TradeLedger":
-        nb, ns = len(buyer_ids), len(seller_ids)
-        q = np.zeros((nb, ns))
-        pb = np.zeros((nb, ns))
-        ps = np.zeros((nb, ns))
-        brow = {a: i for i, a in enumerate(buyer_ids)}
-        scol = {a: j for j, a in enumerate(seller_ids)}
-        for t in trades:
-            i, j = brow[t.buyer_id], scol[t.seller_id]
-            q[i, j] += t.quantity
-            pb[i, j] = t.buyer_price
-            ps[i, j] = t.seller_price
-        return cls(list(buyer_ids), list(seller_ids), q, pb, ps, list(trades))
+        return cls(list(buyer_ids), list(seller_ids), list(trades))
 
     @classmethod
     def empty(cls) -> "TradeLedger":
@@ -183,7 +165,7 @@ class TradeLedger:
     # --- serialization -----------------------------------------------
 
     def to_csv(self) -> str:
-        """One row per executed cell: buyer_id, seller_id, kWh, price."""
+        """One row per trade: buyer_id, seller_id, kWh, price."""
         buf = io.StringIO()
         w = _csv.writer(buf, lineterminator="\n")
         w.writerow(["buyer_id", "seller_id", "kwh", "price"])
@@ -305,7 +287,7 @@ def clear_jpq(
     first entry that still has residual quantity. A failed cross advances
     (and permanently retires, via the start pointer) the buyer under
     surplus, the seller under deficit, and ends the auction when balanced.
-    Matched cells settle min residual at the mid-point price.
+    Matched pairs settle min residual at the mid-point price.
 
     Start pointers are kept at the first index with positive residual, so
     a non-front agent exhausting never desynchronizes the wrap-around. A
@@ -401,8 +383,8 @@ def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
     buyers = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
     sellers = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
     trades = _greedy_match(
-        [(q.agent_id, q.price, q.quantity) for q in buyers],
-        [(q.agent_id, q.ask, q.quantity) for q in sellers],
+        [[q.agent_id, q.price, q.quantity] for q in buyers],
+        [[q.agent_id, q.ask, q.quantity] for q in sellers],
     )
     return TradeLedger.from_trades(
         [q.agent_id for q in buyers], [q.agent_id for q in sellers], trades
@@ -410,11 +392,12 @@ def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
 
 
 def _greedy_match(buy_rows, sell_rows) -> list[Trade]:
-    """Sequential matching over (id, price, residual) rows."""
+    """Sequential matching over [id, price, residual] rows.
+
+    Each trade decrements the residuals of its two rows in place.
+    """
     trades = []
     bi = si = 0
-    buy_rows = [list(r) for r in buy_rows]
-    sell_rows = [list(r) for r in sell_rows]
     while bi < len(buy_rows) and si < len(sell_rows):
         if buy_rows[bi][2] <= 0:
             bi += 1
@@ -477,15 +460,7 @@ def clear_mrda(
             # re-rank by the conceded prices before matching
             buy_rows.sort(key=lambda r: (-r[1], r[0]))
             sell_rows.sort(key=lambda r: (r[1], r[0]))
-        round_trades = _greedy_match(buy_rows, sell_rows)
-        all_trades.extend(round_trades)
-        for t in round_trades:
-            for row in buy_rows:
-                if row[0] == t.buyer_id:
-                    row[2] -= t.quantity
-            for row in sell_rows:
-                if row[0] == t.seller_id:
-                    row[2] -= t.quantity
+        all_trades.extend(_greedy_match(buy_rows, sell_rows))
 
     return TradeLedger.from_trades(
         [q.agent_id for q in buyers], [q.agent_id for q in sellers], all_trades

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from ..env import ACTION_HIGH, ACTION_LOW
 from ..errors import NonFiniteInput
 from .autodiff import Tensor, clip, lstm_seq, relu
 
@@ -23,8 +24,6 @@ LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-ACTION_LOW = np.array([-1.0, 0.0, 0.0])
-ACTION_HIGH = np.array([1.0, 1.0, 1.0])
 _SPAN_HALF = (ACTION_HIGH - ACTION_LOW) / 2.0
 _CENTER = (ACTION_HIGH + ACTION_LOW) / 2.0
 

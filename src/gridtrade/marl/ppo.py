@@ -24,31 +24,20 @@ class RolloutBuffer:
     obs: list = field(default_factory=list)            # local observation vectors
     global_obs: list = field(default_factory=list)     # concatenated team vectors
     presquash: list = field(default_factory=list)      # pre-squash action samples
-    actions: list = field(default_factory=list)        # decoded box actions
     logp: list = field(default_factory=list)
     rewards: list = field(default_factory=list)
     values: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
 
-    def add(self, obs, global_obs, presquash, action, logp, reward, value, done):
+    def add(self, obs, global_obs, presquash, logp, reward, value):
         self.obs.append(obs)
         self.global_obs.append(global_obs)
         self.presquash.append(presquash)
-        self.actions.append(action)
         self.logp.append(logp)
         self.rewards.append(reward)
         self.values.append(value)
-        self.dones.append(done)
 
     def __len__(self):
         return len(self.rewards)
-
-    def clear(self):
-        for name in (
-            "obs", "global_obs", "presquash", "actions",
-            "logp", "rewards", "values", "dones",
-        ):
-            getattr(self, name).clear()
 
     def arrays(self) -> dict[str, np.ndarray]:
         lengths = {len(self.obs), len(self.logp), len(self.rewards), len(self.values)}

@@ -151,25 +151,23 @@ def build_nets(config: EnvConfig, hyper: Hyperparams, seed: int) -> list[AgentNe
     return nets
 
 
-def episode_metrics(episode: int, rewards, settlements, socs) -> dict:
-    """Per-episode hourly means, per agent and across the community."""
-    rewards = np.asarray(rewards)          # (T, n)
-    emergency = np.asarray([[s.q_e for s in row] for row in settlements])
-    feedin = np.asarray([[s.q_fit for s in row] for row in settlements])
-    storage = np.asarray(socs)             # (T, n)
-    row = {
-        "episode": episode,
-        "reward": float(rewards.mean()),
-        "emergency_kwh": float(emergency.mean()),
-        "feedin_kwh": float(feedin.mean()),
-        "storage_kwh": float(storage.mean()),
-    }
-    n = rewards.shape[1]
-    for i in range(n):
-        row[f"reward_agent{i}"] = float(rewards[:, i].mean())
-        row[f"emergency_kwh_agent{i}"] = float(emergency[:, i].mean())
-        row[f"feedin_kwh_agent{i}"] = float(feedin[:, i].mean())
-        row[f"storage_kwh_agent{i}"] = float(storage[:, i].mean())
+#: the hourly-mean metrics, in metrics-table column order
+METRIC_NAMES = ("reward", "emergency_kwh", "feedin_kwh", "storage_kwh")
+
+
+def episode_metrics(episode: int, rewards, emergency, feedin, storage) -> dict:
+    """Per-episode hourly means, per agent and across the community.
+
+    Each series is (T, n): reward, emergency purchase, feed-in export and
+    stored energy for every hour and agent, in METRIC_NAMES order.
+    """
+    series = [np.asarray(x) for x in (rewards, emergency, feedin, storage)]
+    row = {"episode": episode}
+    for name, values in zip(METRIC_NAMES, series):
+        row[name] = float(values.mean())
+    for i in range(series[0].shape[1]):
+        for name, values in zip(METRIC_NAMES, series):
+            row[f"{name}_agent{i}"] = float(values[:, i].mean())
     return row
 
 
@@ -211,7 +209,7 @@ def train(
         obs = env.reset(episode_seed(seed, episode))
         hidden = [ag.actor.initial_hidden() for ag in nets]
         buffers = [RolloutBuffer() for _ in range(n)]
-        ep_rewards, ep_settlements, ep_socs = [], [], []
+        ep_rewards, ep_emergency, ep_feedin, ep_storage = [], [], [], []
 
         for t in range(T):
             norm_obs = [normalizer(obs[i].as_vector(), i) for i in range(n)]
@@ -224,24 +222,23 @@ def train(
                 logp = dist.log_prob(u)
                 value = float(nets[i].critic.value(global_obs)[0])
                 actions.append(Action.from_array(act_box))
-                step_samples.append((u, act_box, logp, value))
+                step_samples.append((u, logp, value))
             result = env.step(actions)
             for i in range(n):
-                u, act_box, logp, value = step_samples[i]
+                u, logp, value = step_samples[i]
                 buffers[i].add(
                     obs=norm_obs[i],
                     global_obs=global_obs,
                     presquash=u,
-                    action=act_box,
                     logp=logp,
                     reward=result.rewards[i] * hyper.reward_scale,
                     value=value,
-                    done=result.done,
                 )
             obs = result.observations
             ep_rewards.append(result.rewards)
-            ep_settlements.append(result.settlements)
-            ep_socs.append([o.soc for o in obs])
+            ep_emergency.append([s.q_e for s in result.settlements])
+            ep_feedin.append([s.q_fit for s in result.settlements])
+            ep_storage.append([o.soc for o in obs])
 
         for i in range(n):
             pending[i].append(buffers[i].arrays())
@@ -249,7 +246,9 @@ def train(
             _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng)
             pending = [[] for _ in range(n)]
 
-        metrics.append(episode_metrics(episode, ep_rewards, ep_settlements, ep_socs))
+        metrics.append(
+            episode_metrics(episode, ep_rewards, ep_emergency, ep_feedin, ep_storage)
+        )
         if progress is not None:
             progress(metrics[-1])
 

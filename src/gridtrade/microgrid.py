@@ -14,7 +14,6 @@ keeping the hourly power balance exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .market import PriceEnvelope, TradeLedger
 from .money import from_micro, to_micro
@@ -72,11 +71,6 @@ class EssState:
             raise ValueError(f"reservation must be in [0, 1], got {self.reservation}")
 
 
-class SocStep(NamedTuple):
-    energy: float
-    clamped: bool
-
-
 @dataclass
 class SettlementRecord:
     """Realized hourly position after clearing and recourse."""
@@ -92,42 +86,8 @@ class SettlementRecord:
 
     @property
     def reward(self) -> float:
+        """Hourly operational benefit: grid profit plus P2P profit."""
         return self.profit_grid + self.profit_p2p
-
-
-def soc_step(energy: float, t_ess: float, dt: float, params: MicrogridParams) -> SocStep:
-    """Advance stored energy by one interval of signed bus-side power.
-
-    Charging adds eta_ch * t * dt to the store; discharging drains
-    |t| * dt / eta_dis. The result is clamped into [e_min, e_max] and the
-    clamping is reported rather than raised, since learning policies probe
-    infeasible requests constantly.
-    """
-    if t_ess >= 0:
-        new = energy + params.eta_ch * t_ess * dt
-    else:
-        new = energy + t_ess * dt / params.eta_dis
-    clamped = new < params.e_min or new > params.e_max
-    new = min(max(new, params.e_min), params.e_max)
-    return SocStep(new, clamped)
-
-
-def feasible_ess_power(
-    state: EssState, requested: float, dt: float, params: MicrogridParams
-) -> float:
-    """Clamp a requested signed power so rate and energy bounds hold.
-
-    The post-step energy must stay within [e_min, reservation * e_max]; the
-    reservation never forces a discharge here (the cap only limits charging).
-    """
-    cap = max(params.e_min, state.reservation * params.e_max)
-    if requested >= 0:
-        rate = min(requested, params.t_charge_max)
-        headroom = max(0.0, cap - state.energy)
-        return min(rate, headroom / (params.eta_ch * dt))
-    rate = max(requested, -params.t_discharge_max)
-    available = max(0.0, state.energy - params.e_min)
-    return max(rate, -available * params.eta_dis / dt)
 
 
 def day_ahead_quantity(load_forecast: float, gen_forecast: float, beta: float) -> float:
@@ -238,7 +198,3 @@ def p2p_profit(ledger: TradeLedger, agent: int) -> float:
     """Net P2P cash flow for one agent: receipts minus payments."""
     return from_micro(ledger.receipt_micro(agent) - ledger.payment_micro(agent))
 
-
-def reward(settlement: SettlementRecord) -> float:
-    """Hourly operational benefit: grid profit plus P2P profit."""
-    return settlement.profit_grid + settlement.profit_p2p

@@ -1,7 +1,7 @@
 """Fixed-precision money arithmetic.
 
 Settlement sums are accumulated in integer micro-units (10^-6 money units)
-so that community-level balances are exact: the same multiset of cell
+so that community-level balances are exact: the same multiset of trade
 payments sums to the same integer no matter the order, and budget balance
 can be asserted with `==` instead of a tolerance.
 """

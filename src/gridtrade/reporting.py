@@ -18,9 +18,7 @@ from . import __version__
 from .env import EnvConfig
 from .errors import ChecksumMismatch, IoError, UnknownFormat
 from .marl.nets import flatten_params, load_flat_params
-from .marl.train import AgentNets, Hyperparams, build_nets
-
-METRIC_NAMES = ("reward", "emergency_kwh", "feedin_kwh", "storage_kwh")
+from .marl.train import METRIC_NAMES, AgentNets, Hyperparams, build_nets
 
 
 def _fmt(value):
@@ -53,6 +51,8 @@ def read_metrics_csv(path: Path) -> list[dict]:
             ]
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    except (TypeError, ValueError) as e:
+        raise IoError(f"malformed metrics file {path}: {e}") from e
 
 
 class TrajectoryWriter:
@@ -83,6 +83,8 @@ def read_trajectory(path: Path) -> list[dict]:
             return [json.loads(line) for line in fh if line.strip()]
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise IoError(f"malformed trajectory file {path}: {e}") from e
 
 
 def export_tidy(metrics_rows: list[dict], n_agents: int, fmt: str) -> str:

@@ -27,7 +27,7 @@ def run_episodes(
     for ep in range(episodes):
         ep_seed = episode_seed(seed, ep)
         obs = env.reset(ep_seed)
-        rewards, settlements, socs = [], [], []
+        rewards, emergency, feedin, storage = [], [], [], []
         for t in range(config.horizon):
             actions = [
                 policy.act(
@@ -48,9 +48,10 @@ def run_episodes(
                 on_step(step_record(ep, t, actions, result))
             obs = result.observations
             rewards.append(result.rewards)
-            settlements.append(result.settlements)
-            socs.append([o.soc for o in obs])
-        rows.append(episode_metrics(ep, rewards, settlements, socs))
+            emergency.append([s.q_e for s in result.settlements])
+            feedin.append([s.q_fit for s in result.settlements])
+            storage.append([o.soc for o in obs])
+        rows.append(episode_metrics(ep, rewards, emergency, feedin, storage))
     return rows
 
 

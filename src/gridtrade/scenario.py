@@ -23,11 +23,9 @@ HOURS = 24
 
 # purpose tags for seed paths
 STREAM_LOAD = 0
-STREAM_PV = 1
 STREAM_DISRUPTION = 2
 STREAM_OBS = 3
 STREAM_ACTION = 4
-STREAM_INIT = 5
 
 #: hourly disruption probabilities as printed in the source material
 #: (sudden drop, gradual decline, complete failure); the 85% figure is

@@ -206,3 +206,49 @@ class TestExport:
     def test_export_tidy_unknown_format_raises(self):
         with pytest.raises(UnknownFormat):
             export_tidy([], 0, "xml")
+
+    def test_trajectory_and_metrics_exports_identical(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--episodes", "2", "--seed", "4", "--out", str(sim)]) == 0
+        tidy = {}
+        for name in ("trajectory.jsonl", "metrics.csv"):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["export", "--input", str(sim / name), "--out", str(out)]) == 0
+            tidy[name] = (out / "tidy.csv").read_bytes()
+        assert tidy["trajectory.jsonl"] == tidy["metrics.csv"]
+
+
+class TestMalformedExportInput:
+    @pytest.fixture
+    def sim(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--episodes", "1", "--seed", "1", "--out", str(out)]) == 0
+        return out
+
+    def export_rc(self, path, capsys):
+        rc = main(["export", "--input", str(path), "--out", str(path.parent)])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        return rc
+
+    def test_truncated_trajectory_line(self, sim, capsys):
+        path = sim / "trajectory.jsonl"
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert self.export_rc(path, capsys) == 1
+
+    def test_non_numeric_metrics_cell(self, sim, capsys):
+        path = sim / "metrics.csv"
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[1] = "n/a"
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        assert self.export_rc(path, capsys) == 1
+
+    def test_record_without_rewards(self, sim, capsys):
+        path = sim / "trajectory.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        del records[3]["rewards"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert self.export_rc(path, capsys) == 1

@@ -34,6 +34,22 @@ def trades_as_tuples(ledger):
     return [(t.buyer_id, t.seller_id, t.quantity, t.buyer_price) for t in ledger.trades]
 
 
+def dense(ledger):
+    """(quantities, buyer prices) as buyer x seller matrices in book order.
+
+    A cell accumulates the quantity of every trade between its pair and
+    keeps the buyer price of the last one.
+    """
+    row = {a: i for i, a in enumerate(ledger.buyer_ids)}
+    col = {a: j for j, a in enumerate(ledger.seller_ids)}
+    quantities = np.zeros((len(row), len(col)))
+    prices = np.zeros((len(row), len(col)))
+    for t in ledger.trades:
+        quantities[row[t.buyer_id], col[t.seller_id]] += t.quantity
+        prices[row[t.buyer_id], col[t.seller_id]] = t.buyer_price
+    return quantities, prices
+
+
 # ---------------------------------------------------------------------------
 # validate_quotation
 # ---------------------------------------------------------------------------
@@ -197,7 +213,7 @@ class TestJpqHandTraces:
         quotes = [q(0, 0.3, 2), q(1, 0.25, 2), q(2, -0.5, 2), q(3, -0.6, 2)]
         ledger = clear_jpq(quotes, SURPLUS, p_e=2.0)
         assert ledger.trades == []
-        assert not ledger.quantities.any()
+        assert not dense(ledger)[0].any()
 
     def test_deficit_seller_wraparound_two_fills(self):
         # p_e=1.5: S2 k2=(1.5-0.6)*3=2.7 ranks before S1 k2=(1.5-0.5)*2=2.0.
@@ -215,8 +231,9 @@ class TestJpqHandTraces:
         ledger = clear_jpq(quotes, BALANCED, p_e=2.0)
         assert ledger.buyer_ids == [0, 1]
         assert ledger.seller_ids == [2, 3]
-        np.testing.assert_allclose(ledger.quantities, [[3, 2], [0, 2]])
-        np.testing.assert_allclose(ledger.prices, [[0.6, 0.65], [0.0, 0.6]])
+        quantities, prices = dense(ledger)
+        np.testing.assert_allclose(quantities, [[3, 2], [0, 2]])
+        np.testing.assert_allclose(prices, [[0.6, 0.65], [0.0, 0.6]])
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +364,9 @@ def clear_all(quotes, m, env=ENV):
 
 def assert_ledger_invariants(ledger, quotes):
     submitted = {x.agent_id: x for x in quotes}
-    assert (ledger.quantities >= 0).all()
-    assert not ledger.prices[ledger.quantities == 0].any()
+    quantities, prices = dense(ledger)
+    assert (quantities >= 0).all()
+    assert not prices[quantities == 0].any()
     for t in ledger.trades:
         assert t.quantity > 0
         # individual rationality at the prices the match formed at
@@ -357,9 +375,9 @@ def assert_ledger_invariants(ledger, quotes):
         )
     # row/col sums never exceed submitted quantities
     for idx, agent in enumerate(ledger.buyer_ids):
-        assert ledger.quantities[idx, :].sum() <= submitted[agent].quantity + 1e-9
+        assert quantities[idx, :].sum() <= submitted[agent].quantity + 1e-9
     for idx, agent in enumerate(ledger.seller_ids):
-        assert ledger.quantities[:, idx].sum() <= submitted[agent].quantity + 1e-9
+        assert quantities[:, idx].sum() <= submitted[agent].quantity + 1e-9
 
 
 class TestFuzzedInvariants:
@@ -431,11 +449,47 @@ def test_hypothesis_jpq_conservation(prices, signs, qtys, m):
     ]
     ledger = clear_jpq(quotes, MarketFactor(m), ENV.emergency)
     submitted = {x.agent_id: x.quantity for x in quotes}
+    quantities, _ = dense(ledger)
     for idx, agent in enumerate(ledger.buyer_ids):
-        assert ledger.quantities[idx, :].sum() <= submitted[agent] + 1e-9
+        assert quantities[idx, :].sum() <= submitted[agent] + 1e-9
     for idx, agent in enumerate(ledger.seller_ids):
-        assert ledger.quantities[:, idx].sum() <= submitted[agent] + 1e-9
+        assert quantities[:, idx].sum() <= submitted[agent] + 1e-9
     assert ledger.total_payments_micro() == ledger.total_receipts_micro()
+
+
+def large_book(seed, n, buyer_share, tick):
+    """Seeded book of n quotes with unique ids, about 5% of them null.
+
+    A non-zero tick rounds prices onto a grid so that many quotes tie.
+    """
+    rng = np.random.default_rng(seed)
+    prices = rng.uniform(ENV.feed_in, ENV.emergency, n)
+    if tick:
+        prices = np.clip(np.round(prices / tick) * tick, ENV.feed_in, ENV.emergency)
+    buys = rng.random(n) < buyer_share
+    qtys = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0.0, 12.0, n))
+    return [
+        Quotation(i, float(p if b else -p), float(x))
+        for i, (p, b, x) in enumerate(zip(prices, buys, qtys))
+    ]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(512, 2048),
+    buyer_share=st.sampled_from([0.2, 0.5, 0.8]),
+    tick=st.sampled_from([0.0, 0.05]),
+    m=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=30, deadline=None)
+def test_hypothesis_large_book_invariants(seed, n, buyer_share, tick, m):
+    quotes = large_book(seed, n, buyer_share, tick)
+    for name, ledger in clear_all(quotes, MarketFactor(m)).items():
+        assert_ledger_invariants(ledger, quotes)
+        if name == "vvda":
+            assert ledger.total_payments_micro() >= ledger.total_receipts_micro()
+        else:
+            assert ledger.total_payments_micro() == ledger.total_receipts_micro()
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ class TestLstmSeq:
 class TestRolloutBuffer:
     def test_equal_length_enforced(self):
         buf = RolloutBuffer()
-        buf.add(np.zeros(3), np.zeros(6), np.zeros(3), np.zeros(3), 0.0, 1.0, 0.5, False)
+        buf.add(np.zeros(3), np.zeros(6), np.zeros(3), 0.0, 1.0, 0.5)
         buf.rewards.append(2.0)  # corrupt
         with pytest.raises(ShapeMismatch):
             buf.arrays()
@@ -442,13 +442,11 @@ class TestRolloutBuffer:
     def test_roundtrip(self):
         buf = RolloutBuffer()
         for t in range(5):
-            buf.add(np.full(3, t), np.full(6, t), np.zeros(3), np.zeros(3),
-                    -0.1 * t, float(t), 0.0, t == 4)
+            buf.add(np.full(3, t), np.full(6, t), np.zeros(3), -0.1 * t, float(t), 0.0)
+        assert len(buf) == 5
         data = buf.arrays()
         assert data["obs"].shape == (5, 3)
         assert data["rewards"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        buf.clear()
-        assert len(buf) == 0
 
 
 class TestEntropyCoefficientDirection:

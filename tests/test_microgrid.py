@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gridtrade.market import BALANCED, PriceEnvelope, Quotation, clear_jpq
 from gridtrade.microgrid import (
@@ -11,13 +10,10 @@ from gridtrade.microgrid import (
     MicrogridParams,
     balance_residual,
     day_ahead_quantity,
-    feasible_ess_power,
     grid_profit,
     max_bid_quantity,
     p2p_profit,
-    reward,
     settle_and_balance,
-    soc_step,
 )
 
 PRICES = PriceEnvelope(feed_in=0.2, day_ahead=0.5, emergency=2.0)
@@ -51,50 +47,6 @@ class TestParams:
             make_params(eta_ch=1.5)
         with pytest.raises(ValueError):
             make_params(beta=0)
-
-
-class TestSocStep:
-    def test_charge(self):
-        assert soc_step(5, 2, 1, make_params()).energy == 7
-
-    def test_noop(self):
-        assert soc_step(5, 0, 1, make_params()) == (5, False)
-
-    def test_discharge_with_efficiency(self):
-        res = soc_step(5, -2, 1, make_params(eta_dis=0.9))
-        assert res.energy == pytest.approx(5 - 2 / 0.9)
-
-    def test_charge_efficiency(self):
-        assert soc_step(0, 2, 1, make_params(eta_ch=0.5)).energy == 1.0
-
-    def test_clamp_reported(self):
-        res = soc_step(7, 4, 1, make_params())
-        assert res == (8, True)
-        res = soc_step(1, -4, 1, make_params())
-        assert res == (0, True)
-
-
-class TestFeasibleEssPower:
-    def test_headroom_cap(self):
-        st8 = EssState(energy=7.5, reservation=1.0)
-        assert feasible_ess_power(st8, 4, 1, make_params()) == pytest.approx(0.5)
-
-    def test_empty_store_cannot_discharge(self):
-        assert feasible_ess_power(EssState(0.0), -3, 1, make_params()) == 0.0
-
-    def test_reservation_cap_blocks_charge(self):
-        st4 = EssState(energy=4.0, reservation=0.5)
-        assert feasible_ess_power(st4, 2, 1, make_params()) == 0.0
-
-    def test_rate_limits(self):
-        p = make_params(e_max=100)
-        assert feasible_ess_power(EssState(50.0), 99, 1, p) == 4
-        assert feasible_ess_power(EssState(50.0), -99, 1, p) == -4
-
-    def test_discharge_efficiency_limits_bus_power(self):
-        p = make_params(eta_dis=0.5, t_discharge_max=10)
-        # store of 2 kWh can deliver only 1 kWh to the bus
-        assert feasible_ess_power(EssState(2.0), -10, 1, p) == pytest.approx(-1.0)
 
 
 class TestDayAhead:
@@ -217,6 +169,10 @@ class TestSettleAndBalance:
             assert abs(balance_residual(rec, load, gen)) <= 1e-9
             assert p.e_min - 1e-12 <= nxt.energy <= p.e_max + 1e-12
             assert rec.q_e >= 0 and rec.q_fit >= 0
+            assert -p.t_discharge_max - 1e-12 <= rec.t_ess <= p.t_charge_max + 1e-12
+            if rec.t_ess > 0:
+                cap = max(p.e_min, state.reservation * p.e_max)
+                assert nxt.energy <= cap + 1e-9
 
 
 class TestProfits:
@@ -271,27 +227,10 @@ class TestProfits:
             q_da=0, q_b=0, q_s=0, q_e=0, q_fit=0,
             t_ess=0, profit_grid=-1.6, profit_p2p=3.0,
         )
-        assert reward(rec) == pytest.approx(1.4)
+        assert rec.reward == pytest.approx(1.4)
 
     def test_grid_profit_monotonicity(self):
         base = grid_profit(3, 2, PRICES)
         assert grid_profit(3, 2.5, PRICES) < base
         assert grid_profit(3.5, 2, PRICES) > base
 
-
-@given(
-    energy=st.floats(0, 8),
-    reservation=st.floats(0, 1),
-    requested=st.floats(-10, 10),
-)
-@settings(max_examples=200, deadline=None)
-def test_hypothesis_feasible_power_respects_bounds(energy, reservation, requested):
-    p = make_params()
-    state = EssState(energy=energy, reservation=reservation)
-    power = feasible_ess_power(state, requested, 1.0, p)
-    assert -p.t_discharge_max - 1e-12 <= power <= p.t_charge_max + 1e-12
-    after = soc_step(energy, power, 1.0, p)
-    assert not after.clamped
-    cap = max(p.e_min, reservation * p.e_max)
-    if power > 0:
-        assert after.energy <= cap + 1e-9
