@@ -7,9 +7,11 @@ over-storage shedding, surplus charging, deficit discharge, and the
 emergency/feed-in residuals, checking the power-balance identity as we go.
 """
 
+import numpy as np
+
 from gridtrade.market import PriceEnvelope
 from gridtrade.microgrid import (
-    EssState,
+    FleetParams,
     MicrogridParams,
     balance_residual,
     day_ahead_quantity,
@@ -32,25 +34,39 @@ print("\nrole-dependent bid caps at load=10, gen=3:")
 for role in ("buyer", "seller"):
     print(f"  {role}: {max_bid_quantity(10, 3, role, params):.1f} kWh")
 
-print("\nsettlement walkthrough:")
+print("\nsettlement walkthrough (four cases settled as one fleet vector):")
 cases = [
-    ("surplus absorbed into storage", dict(load=5, gen=8, q_da=0, q_b=0, q_s=0),
-     EssState(3.0, 1.0)),
+    ("surplus absorbed into storage", dict(load=5, gen=8, q_s=0), (3.0, 1.0)),
     ("deficit covered from storage, remainder emergency",
-     dict(load=12, gen=2, q_da=0, q_b=0, q_s=0), EssState(3.0, 1.0)),
+     dict(load=12, gen=2, q_s=0), (3.0, 1.0)),
     ("reservation shrunk to 0.5: over-storage shed to feed-in",
-     dict(load=5, gen=5, q_da=0, q_b=0, q_s=0), EssState(6.0, 0.5)),
+     dict(load=5, gen=5, q_s=0), (6.0, 0.5)),
     ("sold 3 kWh P2P with a thin store: shortfall hits emergency",
-     dict(load=5, gen=5, q_da=0, q_b=0, q_s=3), EssState(1.0, 1.0)),
+     dict(load=5, gen=5, q_s=3), (1.0, 1.0)),
 ]
-for label, flows, state in cases:
-    record, nxt = settle_and_balance(
-        **flows, state=state, prices=prices, dt=1.0, params=params
-    )
-    residual = balance_residual(record, flows["load"], flows["gen"])
+
+
+def column(values):
+    return np.array(values, dtype=float)
+
+
+load = column([flows["load"] for _, flows, _ in cases])
+gen = column([flows["gen"] for _, flows, _ in cases])
+zeros = np.zeros(len(cases))
+fleet = settle_and_balance(
+    load=load, gen=gen, q_da=zeros, q_b=zeros,
+    q_s=column([flows["q_s"] for _, flows, _ in cases]),
+    energy=column([ess[0] for _, _, ess in cases]),
+    reservation=column([ess[1] for _, _, ess in cases]),
+    prices=prices, dt=1.0, plant=FleetParams.of([params] * len(cases)),
+)
+records = fleet.records([0.0] * len(cases))
+for i, (label, _, _) in enumerate(cases):
+    record = records[i]
+    residual = balance_residual(record, load[i], gen[i])
     print(f"  {label}:")
     print(
         f"    t_ess={record.t_ess:+.3f} kW, q_fit={record.q_fit:.3f}, "
-        f"q_e={record.q_e:.3f}, E'={nxt.energy:.3f}, "
+        f"q_e={record.q_e:.3f}, E'={fleet.energy[i]:.3f}, "
         f"grid profit ${record.profit_grid:+.3f}, balance residual {residual:.1e}"
     )

@@ -38,4 +38,4 @@ for t in range(config.horizon):
     )
 
 print(f"\nmean hourly community reward: {total_reward / config.horizon:+.4f} $")
-print(f"final storage (kWh): {[round(float(s.energy), 2) for s in env.state.ess]}")
+print(f"final storage (kWh): {[round(e, 2) for e in env.state.energy.tolist()]}")

@@ -46,10 +46,25 @@ def _resolve_config(args) -> RunConfig:
     return load_config(args.config, environ=dict(os.environ), overrides=overrides)
 
 
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise IoError(f"cannot create {out}: {e}") from e
+    return out
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     policy = ScriptedPolicy(cfg.policy, margin=cfg.margin)
     with TrajectoryWriter(out / "trajectory.jsonl") as sink:
         rows = run_episodes(cfg.env, policy, cfg.episodes, cfg.seed, on_step=sink)
@@ -73,8 +88,7 @@ def cmd_compare(args) -> int:
     for m in mechanisms:
         if m not in MECHANISMS:
             raise ConfigInvalid(f"mechanism: unknown name {m!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     policy = ScriptedPolicy(cfg.policy, margin=cfg.margin)
 
     table = []
@@ -94,7 +108,7 @@ def cmd_compare(args) -> int:
         values = [repr(row[m]) for m in METRIC_NAMES]
         deltas = [repr(row[m] - base[m]) for m in METRIC_NAMES]
         lines.append(row["mechanism"] + "," + ",".join(values + deltas))
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "comparison.csv", "\n".join(lines) + "\n")
     write_manifest(
         out / "manifest.json", cfg.hash(), cfg.seed, cfg.episodes,
         extra={"command": "compare", "mechanisms": mechanisms},
@@ -110,8 +124,7 @@ def cmd_compare(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     hyper = dataclasses.replace(cfg.learner, episodes=cfg.episodes)
 
     nets, start_episode = None, 0
@@ -155,7 +168,7 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     if out.is_dir():
         out = out / f"tidy.{args.format}"
-    out.write_text(text)
+    _write_text(out, text)
     print(f"export: {len(rows)} episodes -> {out}")
     return 0
 

@@ -16,7 +16,8 @@ counter-based streams keyed by explicit paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .market import (
 from .microgrid import (
     DEFAULT_FLEET,
     EssState,
+    FleetParams,
     MicrogridParams,
     SettlementRecord,
     day_ahead_quantity,
@@ -109,17 +111,34 @@ class EnvConfig:
     def window_len(self) -> int:
         return self.delta_past + self.delta_future + 1
 
-    def profile_for(self, agent: int) -> DailyProfile:
+    @cached_property
+    def plant(self) -> FleetParams:
+        """The fleet's plant parameters as (n,) arrays."""
+        return FleetParams.of(self.fleet)
+
+    @cached_property
+    def day_profiles(self) -> tuple[DailyProfile, ...]:
+        """One base profile per fleet member: the configured ones or the bundled shapes."""
         if self.profiles is not None:
-            return self.profiles[agent]
-        return bundled_profile(agent)
+            return self.profiles
+        return tuple(bundled_profile(i) for i in range(self.n_agents))
+
+    def profile_for(self, agent: int) -> DailyProfile:
+        return self.day_profiles[agent]
+
+    @cached_property
+    def _envelopes(self) -> tuple[PriceEnvelope, ...]:
+        return tuple(
+            PriceEnvelope(
+                feed_in=self.prices.feed_in,
+                day_ahead=self.prices.day_ahead,
+                emergency=emergency,
+            )
+            for emergency in self.prices.emergency.tolist()
+        )
 
     def envelope_at(self, t: int) -> PriceEnvelope:
-        return PriceEnvelope(
-            feed_in=self.prices.feed_in,
-            day_ahead=self.prices.day_ahead,
-            emergency=float(self.prices.emergency[t]),
-        )
+        return self._envelopes[t]
 
 
 #: the action box, in (price_raw, qty_frac, reservation) order
@@ -180,17 +199,37 @@ def observation_dim(config: EnvConfig) -> int:
 
 @dataclass
 class GlobalState:
-    """Full simulator state; not visible to any single agent."""
+    """Full simulator state; not visible to any single agent.
+
+    Per-agent quantities are struct-of-arrays: (n,) storage vectors and
+    (n, T) day series. `windows` holds every agent's observation window for
+    every hour of the day, noise included, built once by `reset`; row T is
+    the all-zero window of the finished day.
+    """
 
     config: EnvConfig
     seed: int
     hour: int
-    ess: list[EssState]
+    energy: np.ndarray         # (n,) stored kWh
+    reservation: np.ndarray    # (n,) reserved fraction of each store
     load: np.ndarray           # (n, T) realized demand
     gen: np.ndarray            # (n, T) realized PV after disruptions
     load_forecast: np.ndarray  # (n, T) noiseless base, used day-ahead
     gen_forecast: np.ndarray
     q_da: np.ndarray           # (n, T) scheduled day-ahead deliveries
+    windows: np.ndarray        # (n, T + 1, W, 4) in WINDOW_FIELDS order
+    window_mask: np.ndarray    # (T + 1, W) 1 = in-horizon slot
+    #: the current hour's market factor once computed; `step` clears it
+    #: when storage and the clock move
+    market_factor: MarketFactor | None = None
+
+    @property
+    def ess(self) -> list[EssState]:
+        """Per-agent storage view (a copy; writes do not reach the state)."""
+        return [
+            EssState(energy=e, reservation=r)
+            for e, r in zip(self.energy.tolist(), self.reservation.tolist())
+        ]
 
 
 @dataclass
@@ -202,20 +241,63 @@ class StepResult:
     done: bool
 
 
+def day_windows(
+    config: EnvConfig, seed: int, load, gen, load_forecast, gen_forecast, q_da
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's noisy observation window for every hour of one day.
+
+    Returns the (n, T + 1, W, 4) window tensor and the (T + 1, W) mask.
+    Slot k of hour t looks at hour z = t - delta_past + k: past slots
+    report the realized series, current and future slots the day-ahead
+    forecast, and both get multiplicative noise from the (seed, agent,
+    STREAM_OBS, t) stream, load then PV for each in-horizon slot in turn.
+    Day-ahead quantities and the emergency price are exact. Out-of-horizon
+    slots, and all of row T, are zero with a zero mask.
+    """
+    n, T = load.shape
+    W = config.window_len
+    hours = np.arange(T + 1)[:, None]
+    z = hours - config.delta_past + np.arange(W)
+    valid = (z >= 0) & (z < T) & (hours < T)
+    z = np.clip(z, 0, T - 1)
+    past = z < hours
+    load_val = np.where(past, load[:, z], load_forecast[:, z])
+    gen_val = np.where(past, gen[:, z], gen_forecast[:, z])
+
+    sigma = config.obs_sigma
+    if sigma > 0:
+        slots = valid.sum(axis=1).tolist()
+        draws = np.concatenate([
+            rng_stream(seed, i, STREAM_OBS, t).normal(0.0, sigma, 2 * slots[t])
+            for i in range(n)
+            for t in range(T)
+        ])
+        noise = np.zeros((n, T + 1, W, 2))
+        noise[np.broadcast_to(valid, (n, T + 1, W))] = draws.reshape(-1, 2)
+        load_val = load_val * (1.0 + noise[..., 0])
+        gen_val = gen_val * (1.0 + noise[..., 1])
+        load_val = np.where(load_val > 0.0, load_val, 0.0)
+        gen_val = np.where(gen_val > 0.0, gen_val, 0.0)
+
+    price = np.broadcast_to(config.prices.emergency[z], (n, T + 1, W))
+    windows = np.stack([q_da[:, z], load_val, gen_val, price], axis=-1)
+    windows = np.where(valid[..., None], windows, 0.0)
+    mask = valid.astype(float)
+    # observations hand out views of these: a write through one would alter the day
+    windows.flags.writeable = mask.flags.writeable = False
+    return windows, mask
+
+
 def reset(
-    config: EnvConfig, seed: int, initial_energy: list[float] | None = None
+    config: EnvConfig, seed: int, initial_energy: np.ndarray | list[float] | None = None
 ) -> tuple[GlobalState, list[Observation]]:
     """Sample a fresh day and return the initial observations."""
     n = config.n_agents
     T = config.horizon
+    plant = config.plant
     load = np.zeros((n, T))
     gen = np.zeros((n, T))
-    load_fc = np.zeros((n, T))
-    gen_fc = np.zeros((n, T))
-    q_da = np.zeros((n, T))
-
-    for i, params in enumerate(config.fleet):
-        profile = config.profile_for(i)
+    for i, (params, profile) in enumerate(zip(config.fleet, config.day_profiles)):
         li, gi = sample_realization(
             profile, params, config.process_sigma, rng_stream(seed, i, STREAM_LOAD)
         )
@@ -224,32 +306,33 @@ def reset(
         )
         load[i] = li[:T]
         gen[i] = gi[:T]
-        load_fc[i] = (params.l_max * profile.load)[:T]
-        gen_fc[i] = (params.g_max * profile.pv)[:T]
-        for t in range(T):
-            q_da[i, t] = day_ahead_quantity(load_fc[i, t], gen_fc[i, t], params.beta)
+    load_fc = (plant.l_max[:, None] * np.array([p.load for p in config.day_profiles]))[:, :T]
+    gen_fc = (plant.g_max[:, None] * np.array([p.pv for p in config.day_profiles]))[:, :T]
+    q_da = day_ahead_quantity(load_fc, gen_fc, plant.beta[:, None])
 
     if initial_energy is None:
-        ess = [EssState(energy=p.e0, reservation=1.0) for p in config.fleet]
+        energy = plant.e0.copy()
     else:
-        ess = [
-            EssState(energy=min(max(e, p.e_min), p.e_max), reservation=1.0)
-            for e, p in zip(initial_energy, config.fleet)
-        ]
+        energy = np.asarray(initial_energy, dtype=float)
+        energy = np.where(plant.e_min > energy, plant.e_min, energy)
+        energy = np.where(plant.e_max < energy, plant.e_max, energy)
 
+    windows, mask = day_windows(config, seed, load, gen, load_fc, gen_fc, q_da)
     state = GlobalState(
         config=config,
         seed=seed,
         hour=0,
-        ess=ess,
+        energy=energy,
+        reservation=np.ones(n),
         load=load,
         gen=gen,
         load_forecast=load_fc,
         gen_forecast=gen_fc,
         q_da=q_da,
+        windows=windows,
+        window_mask=mask,
     )
-    obs = [build_observation(state, i) for i in range(n)]
-    return state, obs
+    return state, build_observation(state)
 
 
 def compute_market_factor(state: GlobalState) -> MarketFactor:
@@ -260,7 +343,7 @@ def compute_market_factor(state: GlobalState) -> MarketFactor:
         state.load[:, t].sum()
         - state.gen[:, t].sum()
         - state.q_da[:, t].sum()
-        - sum(s.energy for s in state.ess)
+        - sum(state.energy.tolist())  # left-to-right, not numpy's pairwise sum
     )
     if cfg.m_lower <= index <= cfg.m_upper:
         return MarketFactor(0)
@@ -269,56 +352,36 @@ def compute_market_factor(state: GlobalState) -> MarketFactor:
     return MarketFactor(1)
 
 
-def build_observation(state: GlobalState, agent: int) -> Observation:
-    """Assemble the agent's noisy local view for the current hour.
+def _hour_market_factor(state: GlobalState) -> MarketFactor:
+    """The market factor the operator publishes for the current hour."""
+    if state.market_factor is None:
+        state.market_factor = compute_market_factor(state)
+    return state.market_factor
 
-    Past window slots report the realized series, current and future slots
-    the day-ahead forecast; both get multiplicative observation noise.
-    Day-ahead quantities and the emergency price are known exactly.
-    Out-of-horizon slots are zero-padded with a zero validity mask.
+
+def build_observation(state: GlobalState) -> list[Observation]:
+    """Every agent's local view for the current hour.
+
+    The windows are views into the day's precomputed tensor (see
+    `day_windows`); the market factor is computed once for the hour. After
+    the last hour every window is zero and the market factor reads 0.
     """
     cfg = state.config
     t = state.hour
-    W = cfg.window_len
-    window = np.zeros((W, 4))
-    mask = np.zeros(W)
-    terminal = t >= cfg.horizon
-
-    if terminal:
+    if t >= cfg.horizon:
         m = 0
         theta = 2 * math.pi * (cfg.horizon % HOURS) / HOURS
     else:
-        m = compute_market_factor(state).value
+        m = _hour_market_factor(state).value
         theta = 2 * math.pi * t / HOURS
-        rng = rng_stream(state.seed, agent, STREAM_OBS, t)
-        for k, z in enumerate(range(t - cfg.delta_past, t + cfg.delta_future + 1)):
-            if not (0 <= z < cfg.horizon):
-                continue
-            if z < t:
-                load_val = state.load[agent, z]
-                gen_val = state.gen[agent, z]
-            else:
-                load_val = state.load_forecast[agent, z]
-                gen_val = state.gen_forecast[agent, z]
-            if cfg.obs_sigma > 0:
-                load_val = max(0.0, load_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
-                gen_val = max(0.0, gen_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
-            window[k] = (
-                state.q_da[agent, z],
-                load_val,
-                gen_val,
-                float(cfg.prices.emergency[z]),
-            )
-            mask[k] = 1.0
-
-    return Observation(
-        m=m,
-        soc=state.ess[agent].energy,
-        window=window,
-        window_mask=mask,
-        hour_sin=math.sin(theta),
-        hour_cos=math.cos(theta),
-    )
+    hour_sin, hour_cos = math.sin(theta), math.cos(theta)
+    windows = state.windows[:, t]
+    mask = state.window_mask[t]
+    return [
+        Observation(m=m, soc=soc, window=windows[i], window_mask=mask,
+                    hour_sin=hour_sin, hour_cos=hour_cos)
+        for i, soc in enumerate(state.energy.tolist())
+    ]
 
 
 def decode_action(
@@ -379,35 +442,30 @@ def step(state: GlobalState, joint_action: list[Action]) -> StepResult:
     quotes = [quote for quote, _ in decoded]
     for quote in quotes:
         require_valid(quote, envelope)
-    for i, (_, reservation) in enumerate(decoded):
-        state.ess[i] = replace(state.ess[i], reservation=reservation)
+    state.reservation = np.array([reservation for _, reservation in decoded])
 
-    m = compute_market_factor(state)
-    ledger = _clear(quotes, m, cfg, t)
+    ledger = _clear(quotes, _hour_market_factor(state), cfg, t)
+    totals = ledger.agent_totals(cfg.n_agents)
+    fleet = settle_and_balance(
+        load=state.load[:, t],
+        gen=state.gen[:, t],
+        q_da=state.q_da[:, t],
+        q_b=np.array(totals.bought),
+        q_s=np.array(totals.sold),
+        energy=state.energy,
+        reservation=state.reservation,
+        prices=envelope,
+        dt=cfg.dt,
+        plant=cfg.plant,
+    )
+    settlements = fleet.records(p2p_profit(totals.received_micro, totals.paid_micro))
+    rewards = [record.reward for record in settlements]
 
-    settlements = []
-    rewards = []
-    for i, params in enumerate(cfg.fleet):
-        record, new_ess = settle_and_balance(
-            load=state.load[i, t],
-            gen=state.gen[i, t],
-            q_da=state.q_da[i, t],
-            q_b=ledger.bought_kwh(i),
-            q_s=ledger.sold_kwh(i),
-            state=state.ess[i],
-            prices=envelope,
-            dt=cfg.dt,
-            params=params,
-        )
-        record.profit_p2p = p2p_profit(ledger, i)
-        state.ess[i] = new_ess
-        settlements.append(record)
-        rewards.append(record.reward)
-
+    state.energy = fleet.energy
     state.hour += 1
+    state.market_factor = None
     done = state.hour >= cfg.horizon
-    observations = [build_observation(state, i) for i in range(cfg.n_agents)]
-    return StepResult(observations, rewards, ledger, settlements, done)
+    return StepResult(build_observation(state), rewards, ledger, settlements, done)
 
 
 class TradingEnv:
@@ -430,7 +488,7 @@ class TradingEnv:
     def reset(self, seed: int) -> list[Observation]:
         carry = None
         if self.config.carry_over_soc and self._state is not None:
-            carry = [s.energy for s in self._state.ess]
+            carry = self._state.energy
         self._state, obs = reset(self.config, seed, initial_energy=carry)
         return obs
 

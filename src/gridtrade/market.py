@@ -21,6 +21,7 @@ import io
 import json
 import csv as _csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CrossViolation, NegativeQuantity, PriceOutOfEnvelope
 from .money import from_micro, to_micro
@@ -114,6 +115,15 @@ class Trade:
         return to_micro(self.seller_price * self.quantity)
 
 
+class AgentTotals(NamedTuple):
+    """Per-agent ledger sums for agents 0..n-1, in trade order."""
+
+    bought: list[float]        # kWh bought
+    sold: list[float]          # kWh sold
+    paid_micro: list[int]      # buyer payments, micro-units
+    received_micro: list[int]  # seller receipts, micro-units
+
+
 @dataclass
 class TradeLedger:
     """Clearing result: the trade list plus per-agent and money aggregates.
@@ -143,11 +153,20 @@ class TradeLedger:
     def sold_kwh(self, agent_id: int) -> float:
         return float(sum(t.quantity for t in self.trades if t.seller_id == agent_id))
 
-    def payment_micro(self, agent_id: int) -> int:
-        return sum(t.payment_micro for t in self.trades if t.buyer_id == agent_id)
+    def agent_totals(self, n_agents: int) -> AgentTotals:
+        """Every agent's bought/sold kWh and money in one pass over the trades.
 
-    def receipt_micro(self, agent_id: int) -> int:
-        return sum(t.receipt_micro for t in self.trades if t.seller_id == agent_id)
+        The kWh sums add in trade order, so each equals `bought_kwh` /
+        `sold_kwh`; the micro-unit sums are exact ints.
+        """
+        totals = AgentTotals([0.0] * n_agents, [0.0] * n_agents, [0] * n_agents, [0] * n_agents)
+        bought, sold, paid, received = totals
+        for t in self.trades:
+            bought[t.buyer_id] += t.quantity
+            sold[t.seller_id] += t.quantity
+            paid[t.buyer_id] += t.payment_micro
+            received[t.seller_id] += t.receipt_micro
+        return totals
 
     def total_payments_micro(self) -> int:
         return sum(t.payment_micro for t in self.trades)

@@ -13,9 +13,11 @@ keeping the hourly power balance exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
-from .market import PriceEnvelope, TradeLedger
+import numpy as np
+
+from .market import PriceEnvelope
 from .money import from_micro, to_micro
 
 
@@ -60,6 +62,28 @@ DEFAULT_FLEET = (
 
 
 @dataclass(frozen=True)
+class FleetParams:
+    """A fleet's plant parameters as (n,) float arrays, one entry per microgrid."""
+
+    l_max: np.ndarray
+    g_max: np.ndarray
+    e_max: np.ndarray
+    t_charge_max: np.ndarray
+    t_discharge_max: np.ndarray
+    e0: np.ndarray
+    beta: np.ndarray
+    e_min: np.ndarray
+    eta_ch: np.ndarray
+    eta_dis: np.ndarray
+
+    @classmethod
+    def of(cls, fleet) -> "FleetParams":
+        return cls(*(
+            np.array([getattr(p, f.name) for p in fleet], dtype=float) for f in fields(cls)
+        ))
+
+
+@dataclass(frozen=True)
 class EssState:
     """Stored energy plus the agent-chosen reservation fraction."""
 
@@ -90,11 +114,15 @@ class SettlementRecord:
         return self.profit_grid + self.profit_p2p
 
 
-def day_ahead_quantity(load_forecast: float, gen_forecast: float, beta: float) -> float:
-    """Advance procurement covering the scaled expected deficit, floored at zero."""
-    if beta <= 0:
+def day_ahead_quantity(load_forecast, gen_forecast, beta):
+    """Advance procurement covering the scaled expected deficit, floored at zero.
+
+    Works elementwise on arrays, so one call schedules a whole fleet's day.
+    """
+    if np.any(np.asarray(beta) <= 0):
         raise ValueError("beta must be positive")
-    return max(0.0, beta * (load_forecast - gen_forecast))
+    q = beta * (load_forecast - gen_forecast)
+    return np.where(q > 0.0, q, 0.0)
 
 
 def max_bid_quantity(
@@ -112,19 +140,62 @@ def max_bid_quantity(
     raise ValueError(f"role must be 'buyer' or 'seller', got {role!r}")
 
 
+@dataclass
+class FleetSettlement:
+    """One hour's settlement of a whole fleet: (n,) arrays, one per agent.
+
+    The fields are those of `SettlementRecord` except `profit_p2p`, which
+    comes from the ledger; `energy` is the storage level after the hour.
+    """
+
+    q_da: np.ndarray
+    q_b: np.ndarray
+    q_s: np.ndarray
+    q_e: np.ndarray
+    q_fit: np.ndarray
+    t_ess: np.ndarray
+    profit_grid: np.ndarray
+    energy: np.ndarray
+
+    def records(self, profit_p2p: list[float]) -> list[SettlementRecord]:
+        """Per-agent records with plain-float fields."""
+        columns = (self.q_da, self.q_b, self.q_s, self.q_e, self.q_fit, self.t_ess,
+                   self.profit_grid)
+        return [
+            SettlementRecord(*row, profit_p2p=p2p)
+            for *row, p2p in zip(*(c.tolist() for c in columns), profit_p2p)
+        ]
+
+
+def _max(a, b):
+    """Elementwise `max(a, b)` with Python's tie rule: `a` unless `b > a`.
+
+    `np.maximum(0.0, -0.0)` is -0.0 where `max(0.0, -0.0)` is 0.0; the
+    written trajectories keep the sign of zero, so the rule matters.
+    """
+    return np.where(b > a, b, a)
+
+
+def _min(a, b):
+    """Elementwise `min(a, b)` with Python's tie rule: `a` unless `b < a`."""
+    return np.where(b < a, b, a)
+
+
 def settle_and_balance(
-    load: float,
-    gen: float,
-    q_da: float,
-    q_b: float,
-    q_s: float,
-    state: EssState,
+    load: np.ndarray,
+    gen: np.ndarray,
+    q_da: np.ndarray,
+    q_b: np.ndarray,
+    q_s: np.ndarray,
+    energy: np.ndarray,
+    reservation: np.ndarray,
     prices: PriceEnvelope,
     dt: float,
-    params: MicrogridParams,
-) -> tuple[SettlementRecord, EssState]:
-    """Resolve the post-clearing residual and enforce the hourly balance.
+    plant: FleetParams,
+) -> FleetSettlement:
+    """Resolve every agent's post-clearing residual and enforce the hourly balance.
 
+    All quantities are (n,) arrays, one entry per microgrid of `plant`.
     Recourse order: (1) discharge any energy stored above the reservation
     cap, (2) charge a positive residual into the ESS up to the cap and rate
     limit, (3) discharge against a negative residual down to e_min within
@@ -137,46 +208,39 @@ def settle_and_balance(
     running residual, so under a deficit it offsets emergency procurement
     instead of being force-fed to the feed-in tariff.
     """
-    energy = state.energy
-    cap = max(params.e_min, state.reservation * params.e_max)
+    p = plant
+    zero = np.zeros(len(energy))
+    cap = _max(p.e_min, reservation * p.e_max)
     balance = gen + q_da + q_b - load - q_s
 
     # (1) shed anything stored above the reservation cap
-    over_store = max(0.0, energy - cap)
-    bus_shed = min(over_store * params.eta_dis, params.t_discharge_max * dt)
-    energy -= bus_shed / params.eta_dis
-    balance += bus_shed
+    bus_shed = _min(_max(zero, energy - cap) * p.eta_dis, p.t_discharge_max * dt)
+    energy = energy - bus_shed / p.eta_dis
+    balance = balance + bus_shed
+    surplus, deficit = balance > zero, balance < zero
 
-    bus_charge = 0.0
-    bus_cover = 0.0
-    if balance > 0:
-        # (2) absorb the surplus
-        headroom = max(0.0, cap - energy)
-        bus_charge = min(balance, params.t_charge_max * dt, headroom / params.eta_ch)
-        energy += bus_charge * params.eta_ch
-        balance -= bus_charge
-    elif balance < 0:
-        # (3) cover the deficit within the leftover discharge budget
-        available = max(0.0, energy - params.e_min)
-        rate_left = max(0.0, params.t_discharge_max * dt - bus_shed)
-        bus_cover = min(-balance, rate_left, available * params.eta_dis)
-        energy -= bus_cover / params.eta_dis
-        balance += bus_cover
+    # (2) absorb a surplus, (3) cover a deficit within the leftover discharge budget
+    headroom = _max(zero, cap - energy) / p.eta_ch
+    bus_charge = np.where(surplus, _min(_min(balance, p.t_charge_max * dt), headroom), zero)
+    rate_left = _max(zero, p.t_discharge_max * dt - bus_shed)
+    available = _max(zero, energy - p.e_min) * p.eta_dis
+    bus_cover = np.where(deficit, _min(_min(-balance, rate_left), available), zero)
+    energy = np.where(surplus, energy + bus_charge * p.eta_ch, energy - bus_cover / p.eta_dis)
+    # rows with neither may turn a -0.0 balance into 0.0; both clamps below map ±0 to 0.0
+    balance = balance - bus_charge + bus_cover
 
-    q_fit = max(0.0, balance)
-    q_e = max(0.0, -balance)
-    t_ess = (bus_charge - bus_shed - bus_cover) / dt
-
-    record = SettlementRecord(
+    q_fit = _max(zero, balance)
+    q_e = _max(zero, -balance)
+    return FleetSettlement(
         q_da=q_da,
         q_b=q_b,
         q_s=q_s,
         q_e=q_e,
         q_fit=q_fit,
-        t_ess=t_ess,
+        t_ess=(bus_charge - bus_shed - bus_cover) / dt,
         profit_grid=grid_profit(q_fit, q_e, prices),
+        energy=energy,
     )
-    return record, replace(state, energy=energy)
 
 
 def balance_residual(record: SettlementRecord, load: float, gen: float, dt: float = 1.0) -> float:
@@ -186,15 +250,17 @@ def balance_residual(record: SettlementRecord, load: float, gen: float, dt: floa
     return lhs - rhs
 
 
-def grid_profit(q_fit: float, q_e: float, prices: PriceEnvelope) -> float:
-    """Net main-grid cash flow: feed-in revenue minus emergency cost."""
-    if q_fit < 0 or q_e < 0:
+def grid_profit(q_fit, q_e, prices: PriceEnvelope):
+    """Net main-grid cash flow: feed-in revenue minus emergency cost.
+
+    Scalars give a float; (n,) arrays give one value per agent.
+    """
+    if np.any(q_fit < 0) or np.any(q_e < 0):
         raise ValueError("quantities must be non-negative")
     micro = to_micro(prices.feed_in * q_fit) - to_micro(prices.emergency * q_e)
     return from_micro(micro)
 
 
-def p2p_profit(ledger: TradeLedger, agent: int) -> float:
-    """Net P2P cash flow for one agent: receipts minus payments."""
-    return from_micro(ledger.receipt_micro(agent) - ledger.payment_micro(agent))
-
+def p2p_profit(received_micro: list[int], paid_micro: list[int]) -> list[float]:
+    """Net P2P cash flow per agent: receipts minus payments, from exact micro-units."""
+    return [from_micro(r - p) for r, p in zip(received_micro, paid_micro)]

@@ -6,12 +6,20 @@ payments sums to the same integer no matter the order, and budget balance
 can be asserted with `==` instead of a tolerance.
 """
 
+import numpy as np
+
 MONEY_QUANTUM = 1e-6
 _SCALE = 1_000_000
 
 
-def to_micro(amount: float) -> int:
-    """Quantize a money amount to integer micro-units (round half to even)."""
+def to_micro(amount):
+    """Quantize a money amount to integer micro-units (round half to even).
+
+    A float gives an int; an array gives integer-valued float64 entries,
+    exact below 2**53 micro-units.
+    """
+    if isinstance(amount, np.ndarray):
+        return np.rint(amount * _SCALE)
     return round(amount * _SCALE)
 
 

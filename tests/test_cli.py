@@ -252,3 +252,33 @@ class TestMalformedExportInput:
         del records[3]["rewards"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert self.export_rc(path, capsys) == 1
+
+
+class TestUnwritableOut:
+    """An output path that cannot be created or written exits 1 with `error: <path>`."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("not a directory\n")
+        return path
+
+    def rc_and_err(self, argv, path, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        return rc
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "train"])
+    def test_out_under_a_file(self, command, blocker, capsys):
+        out = blocker / "x"
+        argv = [command, "--episodes", "1", "--seed", "1", "--out", str(out)]
+        assert self.rc_and_err(argv, out, capsys) == 1
+
+    def test_export_out_in_missing_directory(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--episodes", "1", "--seed", "1", "--out", str(sim)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "sub" / "x.csv"
+        argv = ["export", "--input", str(sim / "trajectory.jsonl"), "--out", str(out)]
+        assert self.rc_and_err(argv, out, capsys) == 1

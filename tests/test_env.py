@@ -1,5 +1,7 @@
 """Environment tests: reset/step, market factor, observations, balance."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from gridtrade.env import (
     EnvConfig,
     GlobalState,
     TradingEnv,
-    build_observation,
     compute_market_factor,
+    day_windows,
     decode_action,
     observation_dim,
     reset,
@@ -19,12 +21,19 @@ from gridtrade.env import (
 from gridtrade.errors import ConfigInvalid, EpisodeFinished, GridTradeError, InvalidAction
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
-    EssState,
     MicrogridParams,
     balance_residual,
 )
+from gridtrade.money import to_micro
 from gridtrade.policies import PolicyContext, ScriptedPolicy
-from gridtrade.scenario import DailyProfile, DisruptionConfig, PriceSchedule
+from gridtrade.scenario import (
+    HOURS,
+    STREAM_OBS,
+    DailyProfile,
+    DisruptionConfig,
+    PriceSchedule,
+    rng_stream,
+)
 
 
 def quiet_config(**kw):
@@ -42,21 +51,59 @@ def make_state(config, load, gen, q_da=None, energies=None, hour=0, seed=0):
     """Hand-built state with explicit realized trajectories."""
     n, T = load.shape
     q_da = np.zeros((n, T)) if q_da is None else q_da
-    ess = [
-        EssState(energy=(energies[i] if energies else config.fleet[i].e0))
-        for i in range(n)
-    ]
+    energy = np.array(energies if energies else [p.e0 for p in config.fleet], dtype=float)
+    windows, mask = day_windows(config, seed, load, gen, load, gen, q_da)
     return GlobalState(
         config=config,
         seed=seed,
         hour=hour,
-        ess=ess,
+        energy=energy,
+        reservation=np.ones(n),
         load=load,
         gen=gen,
         load_forecast=load.copy(),
         gen_forecast=gen.copy(),
         q_da=q_da,
+        windows=windows,
+        window_mask=mask,
     )
+
+
+def reference_observation(state, agent):
+    """Per-agent reference: one agent's window filled slot by slot with
+    scalar noise draws. The batched `build_observation` must equal it."""
+    cfg = state.config
+    t = state.hour
+    W = cfg.window_len
+    window = np.zeros((W, 4))
+    mask = np.zeros(W)
+    if t >= cfg.horizon:
+        m = 0
+        theta = 2 * math.pi * (cfg.horizon % HOURS) / HOURS
+    else:
+        m = compute_market_factor(state).value
+        theta = 2 * math.pi * t / HOURS
+        rng = rng_stream(state.seed, agent, STREAM_OBS, t)
+        for k, z in enumerate(range(t - cfg.delta_past, t + cfg.delta_future + 1)):
+            if not (0 <= z < cfg.horizon):
+                continue
+            if z < t:
+                load_val = state.load[agent, z]
+                gen_val = state.gen[agent, z]
+            else:
+                load_val = state.load_forecast[agent, z]
+                gen_val = state.gen_forecast[agent, z]
+            if cfg.obs_sigma > 0:
+                load_val = max(0.0, load_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
+                gen_val = max(0.0, gen_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
+            window[k] = (
+                state.q_da[agent, z],
+                load_val,
+                gen_val,
+                float(cfg.prices.emergency[z]),
+            )
+            mask[k] = 1.0
+    return m, float(state.energy[agent]), window, mask, math.sin(theta), math.cos(theta)
 
 
 class TestReset:
@@ -169,10 +216,10 @@ class TestObservation:
 
     def test_noisy_window_deterministic_per_seed(self):
         cfg = EnvConfig(obs_sigma=0.1)
-        state, _ = reset(cfg, seed=5)
-        a = build_observation(state, 2)
-        b = build_observation(state, 2)
-        np.testing.assert_array_equal(a.window, b.window)
+        (state_a, obs_a), (state_b, obs_b) = reset(cfg, seed=5), reset(cfg, seed=5)
+        assert not np.shares_memory(state_a.windows, state_b.windows)
+        np.testing.assert_array_equal(obs_a[2].window, obs_b[2].window)
+        np.testing.assert_array_equal(state_a.windows, state_b.windows)
 
     def test_hour_encoding(self):
         state, obs = reset(quiet_config(), seed=0)
@@ -183,6 +230,39 @@ class TestObservation:
         cfg = quiet_config()
         _, obs = reset(cfg, seed=0)
         assert obs[0].as_vector().shape == (observation_dim(cfg),)
+
+
+    def test_windows_are_read_only_views(self):
+        state, obs = reset(quiet_config(), seed=0)
+        with pytest.raises(ValueError):
+            obs[0].window[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            obs[0].window_mask[0] = 1.0
+        assert np.shares_memory(obs[0].window, state.windows)
+
+    def test_batched_observations_match_per_agent_reference(self):
+        # 64 agents, two past slots and a 20-hour day: hours near the end
+        # have out-of-horizon future slots, hour 0 and 1 out-of-horizon past
+        fleet = tuple(DEFAULT_FLEET[i % 4] for i in range(64))
+        cfg = EnvConfig(fleet=fleet, obs_sigma=0.1, delta_past=2, horizon=20,
+                        m_lower=-480.0, m_upper=-320.0)
+        state, obs = reset(cfg, seed=17)
+        rng = np.random.default_rng(17)
+        factors = set()
+        for t in range(cfg.horizon + 1):
+            assert state.hour == t
+            for i, o in enumerate(obs):
+                m, soc, window, mask, hour_sin, hour_cos = reference_observation(state, i)
+                assert o.m == m and o.soc == soc
+                np.testing.assert_array_equal(o.window, window)
+                np.testing.assert_array_equal(o.window_mask, mask)
+                assert (o.hour_sin, o.hour_cos) == (hour_sin, hour_cos)
+            factors.add(obs[0].m)
+            if t < cfg.horizon:
+                actions = [Action(*rng.uniform(-1, 1, 3)).clipped() for _ in range(64)]
+                obs = step(state, actions).observations
+        assert obs[0].window_mask.sum() == 0.0  # the finished day's zero window
+        assert len(factors) > 1
 
 
 class TestDecodeAction:
@@ -380,6 +460,57 @@ class TestStep:
         result = env.step(actions)
         payload = json.dumps(step_record(0, 0, actions, result))
         assert "rewards" in payload
+
+
+def random_fleet(rng, n):
+    """Heterogeneous plants with lossy storage and a positive floor."""
+    fleet = []
+    for _ in range(n):
+        e_max = float(rng.uniform(4, 30))
+        e_min = float(rng.uniform(0, 0.2)) * e_max
+        fleet.append(MicrogridParams(
+            l_max=float(rng.uniform(5, 40)), g_max=float(rng.uniform(5, 15)),
+            e_max=e_max, e_min=e_min, e0=float(rng.uniform(e_min, e_max)),
+            t_charge_max=float(rng.uniform(1, 10)), t_discharge_max=float(rng.uniform(1, 10)),
+            beta=float(rng.uniform(0.5, 1.2)),
+            eta_ch=float(rng.uniform(0.8, 1.0)), eta_dis=float(rng.uniform(0.8, 1.0)),
+        ))
+    return tuple(fleet)
+
+
+class TestLargeFleetPowerBalance:
+    """Full seeded days on random 64- and 256-microgrid fleets."""
+
+    @pytest.mark.parametrize("mechanism", ["jpq", "greedy", "mrda", "vvda"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_every_agent_hour_balances(self, n, mechanism):
+        rng = np.random.default_rng(n)
+        fleet = random_fleet(rng, n)
+        cfg = EnvConfig(fleet=fleet, mechanism=mechanism, process_sigma=0.15,
+                        m_lower=-7.5 * n, m_upper=-5.0 * n)
+        state, _ = reset(cfg, seed=n)
+        e_min = np.array([p.e_min for p in fleet])
+        e_max = np.array([p.e_max for p in fleet])
+        trades = 0
+        for t in range(cfg.horizon):
+            actions = [Action(*row) for row in rng.uniform([-1, 0, 0], [1, 1, 1], (n, 3))]
+            result = step(state, actions)
+            ledger = result.ledger
+            for i, rec in enumerate(result.settlements):
+                residual = balance_residual(rec, state.load[i, t], state.gen[i, t], cfg.dt)
+                assert abs(residual) <= 1e-9
+                assert result.rewards[i] == rec.profit_grid + rec.profit_p2p
+            assert (e_min - 1e-9 <= state.energy).all()
+            assert (state.energy <= e_max + 1e-9).all()
+            paid, received = ledger.total_payments_micro(), ledger.total_receipts_micro()
+            if mechanism == "vvda":
+                assert paid >= received
+            else:
+                assert paid == received
+            assert sum(to_micro(rec.profit_p2p) for rec in result.settlements) == received - paid
+            trades += len(ledger.trades)
+        assert result.done
+        assert trades > 0
 
 
 class TestScriptedPolicies:

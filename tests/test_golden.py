@@ -8,9 +8,11 @@ version.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from gridtrade.cli import main
 from gridtrade.market import (
@@ -48,6 +50,18 @@ TRAIN = {
     "metrics.csv": "7da838994c0fa7c333fb907a36e6176d7ae5b98d43c78771312e662a4af3ff04",
     "checkpoint.json": "c0b425277df2ca97e453457a7f5dbddf39e3fa35cdf25e6d4a190388f0cae2a9",
 }
+# 64 microgrids: the reference four cycled, market-factor thresholds scaled
+# by 16, one episode; these exercise the n=64 paths of the environment.
+FLEET64 = {
+    "jpq": {
+        "trajectory.jsonl": "11d1af684255863f66368e056594a3e28698e0557503837a13517688cb067cbc",
+        "metrics.csv": "db77c35cd9b7adcc6a6ca6e45745ea3d004fd88a121958fe0694e30147adc37c",
+    },
+    "vvda": {
+        "trajectory.jsonl": "314dbfe2bed65cfec5eb5f3903f65d1b5a28f05b5c0efb9f4a0b3dda0f0e775a",
+        "metrics.csv": "e13fa322d3664e4249a0ae0aea0a57941d82d8c52c1620bf18e6e5ff52b541f3",
+    },
+}
 BOOK = {
     "jpq": "45598abce76b314953164a222cd9b481ec1f2508399f979eabb7f3a676a518d0",
     "greedy": "3606b2e27c3670b12a8545afed26ca1f2a04ca6cd85c30f110c9b5bac3ec72d0",
@@ -55,11 +69,21 @@ BOOK = {
     "vvda": "d7e525a6e74740a5df6f1c83f5216a1661c0464721ae66f2245df60e7631078b",
 }
 
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 BOOK_ENVELOPE = PriceEnvelope(feed_in=0.2, day_ahead=0.5, emergency=3.5)
 
 
 def file_digests(out, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def fleet64_config(path):
+    """The reference config with its fleet cycled to 64 and thresholds x16."""
+    raw = yaml.safe_load(REFERENCE.read_text())
+    raw["fleet"] = [raw["fleet"][i % 4] for i in range(64)]
+    raw["market_factor"] = {"lower": -30.0 * 16, "upper": -20.0 * 16}
+    path.write_text(yaml.safe_dump(raw, sort_keys=True))
+    return path
 
 
 def large_book(n: int = 2048, seed: int = 2048) -> list[Quotation]:
@@ -99,6 +123,15 @@ def test_simulate_digests(tmp_path, mechanism):
     assert main(["simulate", "--episodes", "2", "--seed", "1", "--mechanism", mechanism,
                  "--out", str(out)]) == 0
     assert file_digests(out, SIMULATE[mechanism]) == SIMULATE[mechanism]
+
+
+@pytest.mark.parametrize("mechanism", sorted(FLEET64))
+def test_simulate_fleet64_digests(tmp_path, mechanism):
+    config = fleet64_config(tmp_path / "fleet64.yaml")
+    out = tmp_path / mechanism
+    assert main(["simulate", "--config", str(config), "--episodes", "1", "--seed", "1",
+                 "--mechanism", mechanism, "--out", str(out)]) == 0
+    assert file_digests(out, FLEET64[mechanism]) == FLEET64[mechanism]
 
 
 def test_compare_digest(tmp_path):

@@ -1,13 +1,18 @@
 """Microgrid physics and settlement tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridtrade.market import BALANCED, PriceEnvelope, Quotation, clear_jpq
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
     EssState,
+    FleetParams,
     MicrogridParams,
+    SettlementRecord,
     balance_residual,
     day_ahead_quantity,
     grid_profit,
@@ -25,6 +30,55 @@ def make_params(**kw):
     )
     base.update(kw)
     return MicrogridParams(**base)
+
+
+def reference_settle(load, gen, q_da, q_b, q_s, state, prices, dt, params):
+    """Scalar reference: one microgrid's settlement, written with Python
+    min/max. The vector `settle_and_balance` must reproduce it bit for bit,
+    signed zeros included."""
+    energy = state.energy
+    cap = max(params.e_min, state.reservation * params.e_max)
+    balance = gen + q_da + q_b - load - q_s
+
+    over_store = max(0.0, energy - cap)
+    bus_shed = min(over_store * params.eta_dis, params.t_discharge_max * dt)
+    energy -= bus_shed / params.eta_dis
+    balance += bus_shed
+
+    bus_charge = 0.0
+    bus_cover = 0.0
+    if balance > 0:
+        headroom = max(0.0, cap - energy)
+        bus_charge = min(balance, params.t_charge_max * dt, headroom / params.eta_ch)
+        energy += bus_charge * params.eta_ch
+        balance -= bus_charge
+    elif balance < 0:
+        available = max(0.0, energy - params.e_min)
+        rate_left = max(0.0, params.t_discharge_max * dt - bus_shed)
+        bus_cover = min(-balance, rate_left, available * params.eta_dis)
+        energy -= bus_cover / params.eta_dis
+        balance += bus_cover
+
+    q_fit = max(0.0, balance)
+    q_e = max(0.0, -balance)
+    record = SettlementRecord(
+        q_da=q_da, q_b=q_b, q_s=q_s, q_e=q_e, q_fit=q_fit,
+        t_ess=(bus_charge - bus_shed - bus_cover) / dt,
+        profit_grid=grid_profit(q_fit, q_e, prices),
+    )
+    return record, replace(state, energy=energy)
+
+
+def settle_one(load, gen, q_da, q_b, q_s, state, prices, dt, params):
+    """One microgrid through the fleet-vector `settle_and_balance`."""
+    fleet = settle_and_balance(
+        *(np.array([float(x)]) for x in (load, gen, q_da, q_b, q_s)),
+        energy=np.array([float(state.energy)]),
+        reservation=np.array([float(state.reservation)]),
+        prices=prices, dt=dt, plant=FleetParams.of([params]),
+    )
+    record = fleet.records([0.0])[0]
+    return record, replace(state, energy=fleet.energy[0].item())
 
 
 class TestParams:
@@ -82,7 +136,7 @@ class TestMaxBidQuantity:
 class TestSettleAndBalance:
     def test_full_absorption_of_surplus(self):
         p = make_params(e_max=10)
-        rec, nxt = settle_and_balance(
+        rec, nxt = settle_one(
             load=5, gen=8, q_da=0, q_b=0, q_s=0,
             state=EssState(3.0, 1.0), prices=PRICES, dt=1, params=p,
         )
@@ -91,7 +145,7 @@ class TestSettleAndBalance:
         assert nxt.energy == pytest.approx(6.0)
 
     def test_empty_store_deficit_goes_emergency(self):
-        rec, nxt = settle_and_balance(
+        rec, nxt = settle_one(
             load=7, gen=5, q_da=0, q_b=0, q_s=0,
             state=EssState(0.0, 1.0), prices=PRICES, dt=1, params=make_params(),
         )
@@ -101,7 +155,7 @@ class TestSettleAndBalance:
 
     def test_reservation_cap_sheds_to_feed_in(self):
         p = make_params(e_max=8, t_discharge_max=10)
-        rec, nxt = settle_and_balance(
+        rec, nxt = settle_one(
             load=5, gen=5, q_da=0, q_b=0, q_s=0,
             state=EssState(6.0, 0.5), prices=PRICES, dt=1, params=p,
         )
@@ -111,7 +165,7 @@ class TestSettleAndBalance:
 
     def test_shed_offsets_deficit_before_emergency(self):
         p = make_params(e_max=8, t_discharge_max=10)
-        rec, nxt = settle_and_balance(
+        rec, nxt = settle_one(
             load=6, gen=5, q_da=0, q_b=0, q_s=0,
             state=EssState(6.0, 0.5), prices=PRICES, dt=1, params=p,
         )
@@ -122,7 +176,7 @@ class TestSettleAndBalance:
 
     def test_partial_discharge_then_emergency(self):
         p = make_params(t_discharge_max=2)
-        rec, nxt = settle_and_balance(
+        rec, nxt = settle_one(
             load=10, gen=2, q_da=0, q_b=0, q_s=0,
             state=EssState(8.0, 1.0), prices=PRICES, dt=1, params=p,
         )
@@ -132,7 +186,7 @@ class TestSettleAndBalance:
 
     def test_charge_rate_limits_absorption(self):
         p = make_params(e_max=50, t_charge_max=4)
-        rec, _ = settle_and_balance(
+        rec, _ = settle_one(
             load=0, gen=10, q_da=0, q_b=0, q_s=0,
             state=EssState(0.0, 1.0), prices=PRICES, dt=1, params=p,
         )
@@ -140,7 +194,7 @@ class TestSettleAndBalance:
         assert rec.q_fit == pytest.approx(6.0)
 
     def test_p2p_sale_without_energy_becomes_emergency(self):
-        rec, _ = settle_and_balance(
+        rec, _ = settle_one(
             load=5, gen=5, q_da=0, q_b=0, q_s=3,
             state=EssState(1.0, 1.0), prices=PRICES, dt=1, params=make_params(),
         )
@@ -163,7 +217,7 @@ class TestSettleAndBalance:
             )
             load, gen = rng.uniform(0, 40), rng.uniform(0, 15)
             q_da, q_b, q_s = rng.uniform(0, 20), rng.uniform(0, 10), rng.uniform(0, 10)
-            rec, nxt = settle_and_balance(
+            rec, nxt = settle_one(
                 load, gen, q_da, q_b, q_s, state, PRICES, 1.0, p
             )
             assert abs(balance_residual(rec, load, gen)) <= 1e-9
@@ -173,6 +227,74 @@ class TestSettleAndBalance:
             if rec.t_ess > 0:
                 cap = max(p.e_min, state.reservation * p.e_max)
                 assert nxt.energy <= cap + 1e-9
+
+
+# Values on a coarse grid make exact ties likely: balance exactly 0, energy
+# exactly at the cap, charge equal to the rate limit; -0.0 checks the sign
+# of zero.
+FLOWS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 4.5]),
+    st.floats(0.0, 20.0, allow_subnormal=False),
+)
+ETAS = st.one_of(st.just(1.0), st.sampled_from([0.5, 0.8, 0.95]), st.floats(0.3, 1.0))
+
+
+@st.composite
+def agent_hours(draw):
+    e_max = draw(st.sampled_from([4.0, 8.0, 15.0]) | st.floats(1.0, 30.0))
+    e_min = draw(st.just(0.0) | st.floats(0.0, e_max / 2))
+    params = make_params(
+        e_max=e_max,
+        e_min=e_min,
+        e0=e_min,
+        t_charge_max=draw(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.5, 10.0)),
+        t_discharge_max=draw(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.5, 10.0)),
+        eta_ch=draw(ETAS),
+        eta_dis=draw(ETAS),
+    )
+    state = EssState(
+        energy=draw(st.sampled_from([e_min, e_max, e_max / 2]) | st.floats(e_min, e_max)),
+        reservation=draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+    )
+    load, gen, q_da, q_b, q_s = (draw(FLOWS) for _ in range(5))
+    return load, gen, q_da, q_b, q_s, state, params
+
+
+BALANCED_LOSSY_OVER_CAP = [
+    (3.0, 1.0, 1.0, 1.0, 0.0, EssState(6.0, 0.25),
+     make_params(e_max=8, eta_ch=0.9, eta_dis=0.8)),                      # balance 0, over cap
+    (2.0, 2.0, 0.0, 0.0, 0.0, EssState(3.0, 1.0), make_params(eta_dis=0.95)),
+    (0.0, 5.0, 0.0, 0.0, 1.0, EssState(8.0, 0.5), make_params(eta_ch=0.5)),
+    (-0.0, -0.0, 0.0, 0.0, 0.0, EssState(0.0, 1.0), make_params()),
+]
+
+
+class TestVectorSettlementOracle:
+    """The fleet-vector settlement equals the scalar reference per agent."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(rows=BALANCED_LOSSY_OVER_CAP)
+    @given(rows=st.lists(agent_hours(), min_size=1, max_size=12))
+    def test_vector_matches_scalar_reference(self, rows):
+        dt = 1.0
+        fleet = settle_and_balance(
+            *(np.array([r[k] for r in rows]) for k in range(5)),
+            energy=np.array([r[5].energy for r in rows]),
+            reservation=np.array([r[5].reservation for r in rows]),
+            prices=PRICES, dt=dt, plant=FleetParams.of([r[6] for r in rows]),
+        )
+        records = fleet.records([0.0] * len(rows))
+        for i, (load, gen, q_da, q_b, q_s, state, params) in enumerate(rows):
+            rec, nxt = reference_settle(load, gen, q_da, q_b, q_s, state, PRICES, dt, params)
+            assert repr(records[i]) == repr(rec)
+            assert repr(fleet.energy[i].item()) == repr(nxt.energy)
+
+    def test_oracle_draws_reach_the_corner_cases(self):
+        # the explicit example covers what random draws may miss
+        load, gen, q_da, q_b, q_s, state, params = BALANCED_LOSSY_OVER_CAP[0]
+        assert gen + q_da + q_b - load - q_s == 0.0
+        assert params.eta_ch < 1 and params.eta_dis < 1
+        assert state.energy > state.reservation * params.e_max
 
 
 class TestProfits:
@@ -192,9 +314,13 @@ class TestProfits:
     def test_p2p_profit_roundtrip(self):
         quotes = [Quotation(0, 1.0, 4), Quotation(1, -0.5, 4)]
         ledger = clear_jpq(quotes, BALANCED, p_e=2.0)
-        assert p2p_profit(ledger, 0) == pytest.approx(-3.0)
-        assert p2p_profit(ledger, 1) == pytest.approx(3.0)
-        assert p2p_profit(ledger, 7) == 0.0
+        totals = ledger.agent_totals(8)
+        profit = p2p_profit(totals.received_micro, totals.paid_micro)
+        assert profit[0] == pytest.approx(-3.0)
+        assert profit[1] == pytest.approx(3.0)
+        assert profit[7] == 0.0
+        assert totals.bought[0] == ledger.bought_kwh(0) == 4.0
+        assert totals.sold[1] == ledger.sold_kwh(1) == 4.0
 
     def test_p2p_profits_sum_to_zero_exactly(self):
         from gridtrade.market import clear_greedy, clear_mrda
@@ -215,10 +341,8 @@ class TestProfits:
                 clear_greedy(quotes),
                 clear_mrda(quotes, PRICES),
             ):
-                total_micro = sum(
-                    ledger.receipt_micro(i) - ledger.payment_micro(i) for i in range(n)
-                )
-                assert total_micro == 0
+                totals = ledger.agent_totals(n)
+                assert sum(totals.received_micro) - sum(totals.paid_micro) == 0
 
     def test_reward_is_sum_of_profits(self):
         from gridtrade.microgrid import SettlementRecord
