@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Day-ahead procurement, bid caps and the hourly settlement recourse.
 
-Shows the day-ahead quantity and the role-dependent bid caps, then walks
+Shows the day-ahead quantity and the buyer/seller bid caps, then walks
 one microgrid with 95%-efficient storage through the recourse ladder:
 over-storage shedding, surplus charging, deficit discharge, and the
 emergency/feed-in residuals, checking the power-balance identity as we go.
@@ -30,9 +30,9 @@ for load_f, gen_f in ((10, 4), (4, 10), (7, 7)):
     q = day_ahead_quantity(load_f, gen_f, 0.95)
     print(f"  forecast load {load_f}, pv {gen_f} -> q_da = {q:.2f} kWh")
 
-print("\nrole-dependent bid caps at load=10, gen=3:")
-for role in ("buyer", "seller"):
-    print(f"  {role}: {max_bid_quantity(10, 3, role, params):.1f} kWh")
+print("\nbid caps by side at load=10, gen=3:")
+for side, buyer in (("buyer", True), ("seller", False)):
+    print(f"  {side}: {max_bid_quantity(10, 3, buyer, params):.1f} kWh")
 
 print("\nsettlement walkthrough (four cases settled as one fleet vector):")
 cases = [

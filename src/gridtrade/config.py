@@ -23,7 +23,7 @@ from .env import MECHANISMS, EnvConfig
 from .errors import ConfigInvalid, IoError
 from .marl.train import Hyperparams
 from .microgrid import DEFAULT_FLEET, MicrogridParams
-from .policies import POLICY_RULES
+from .policies import POLICY_RULES, ScriptedPolicy
 from .scenario import (
     HOURS,
     DailyProfile,
@@ -145,6 +145,15 @@ def _prices_from_csv(path: Path, feed_in: float, day_ahead: float) -> PriceSched
         raise ConfigInvalid(f"prices: {path}: {e}") from e
 
 
+def _setting(merged: dict, section: str, key: str, kind):
+    """One numeric setting of a config section, converted by `kind`."""
+    value = merged[section][key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigInvalid(f"{section}.{key}: {e}") from e
+
+
 def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     """Validate a parsed config dictionary into typed objects."""
     base_dir = Path(base_dir)
@@ -193,10 +202,9 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     else:
         prices = _prices_from_csv(base_dir / merged["prices"], 0.2, 0.5)
 
-    dis = dict(merged["disruption"])
-    use_reported = bool(dis.pop("use_reported", False))
     try:
-        if use_reported:
+        dis = dict(merged["disruption"])
+        if bool(dis.pop("use_reported", False)):
             # reported rates win unless the user explicitly set a probability
             user_dis = raw.get("disruption") or {}
             base = DisruptionConfig.reported()
@@ -215,6 +223,11 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         raise ConfigInvalid(
             f"policy: unknown rule {merged['policy']!r}, expected one of {POLICY_RULES}"
         )
+    try:
+        margin = float(merged["margin"])
+        ScriptedPolicy(merged["policy"], margin)  # the policy's own range check
+    except (TypeError, ValueError) as e:
+        raise ConfigInvalid(f"margin: {e}") from e
 
     try:
         env = EnvConfig(
@@ -222,15 +235,15 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             profiles=profiles,
             prices=prices,
             mechanism=merged["mechanism"],
-            mrda_rounds=int(merged["mrda"]["rounds"]),
-            mrda_concession=float(merged["mrda"]["concession"]),
-            m_lower=float(merged["market_factor"]["lower"]),
-            m_upper=float(merged["market_factor"]["upper"]),
-            process_sigma=float(merged["noise"]["process_sigma"]),
-            obs_sigma=float(merged["noise"]["obs_sigma"]),
+            mrda_rounds=_setting(merged, "mrda", "rounds", int),
+            mrda_concession=_setting(merged, "mrda", "concession", float),
+            m_lower=_setting(merged, "market_factor", "lower", float),
+            m_upper=_setting(merged, "market_factor", "upper", float),
+            process_sigma=_setting(merged, "noise", "process_sigma", float),
+            obs_sigma=_setting(merged, "noise", "obs_sigma", float),
             disruption=disruption,
-            delta_past=int(merged["window"]["past"]),
-            delta_future=int(merged["window"]["future"]),
+            delta_past=_setting(merged, "window", "past", int),
+            delta_future=_setting(merged, "window", "future", int),
             carry_over_soc=bool(merged["carry_over_soc"]),
         )
     except (TypeError, KeyError) as e:
@@ -247,16 +260,15 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
 
     seed = merged["seed"]
     episodes = merged["episodes"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigInvalid(f"seed: must be a non-negative integer, got {seed!r}")
-    if not isinstance(episodes, int) or episodes < 0:
-        raise ConfigInvalid(f"episodes: must be a non-negative integer, got {episodes!r}")
+    for name, value in (("seed", seed), ("episodes", episodes)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigInvalid(f"{name}: must be a non-negative integer, got {value!r}")
 
     return RunConfig(
         env=env,
         learner=learner,
         policy=merged["policy"],
-        margin=float(merged["margin"]),
+        margin=margin,
         seed=seed,
         episodes=episodes,
         raw=merged,

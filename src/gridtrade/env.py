@@ -39,6 +39,8 @@ from .microgrid import (
     FleetParams,
     MicrogridParams,
     SettlementRecord,
+    _max,
+    _min,
     day_ahead_quantity,
     max_bid_quantity,
     p2p_profit,
@@ -147,6 +149,15 @@ ACTION_LOW = np.array([-1.0, 0.0, 0.0])
 ACTION_HIGH = np.array([1.0, 1.0, 1.0])
 
 
+def _clip_to_box(actions: np.ndarray) -> np.ndarray:
+    """Clamp (..., 3) raw actions into the action box.
+
+    Python's `min(max(x, low), high)` tie rule, so a -0.0 field stays
+    -0.0 (`np.clip` would turn it into 0.0 and change the quotes).
+    """
+    return _min(_max(actions, ACTION_LOW), ACTION_HIGH)
+
+
 @dataclass(frozen=True)
 class Action:
     """Squashed agent action: signed price position, quantity fraction, reservation."""
@@ -156,16 +167,8 @@ class Action:
     reservation: float
 
     def clipped(self) -> "Action":
-        lo, hi = ACTION_LOW.tolist(), ACTION_HIGH.tolist()
-        return Action(
-            price_raw=min(max(self.price_raw, lo[0]), hi[0]),
-            qty_frac=min(max(self.qty_frac, lo[1]), hi[1]),
-            reservation=min(max(self.reservation, lo[2]), hi[2]),
-        )
-
-    @classmethod
-    def from_array(cls, arr) -> "Action":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2])).clipped()
+        box = _clip_to_box(np.array([self.price_raw, self.qty_frac, self.reservation]))
+        return Action(*box.tolist())
 
 # window feature order
 WINDOW_FIELDS = ("q_da", "load_est", "gen_est", "p_e")
@@ -385,25 +388,40 @@ def build_observation(state: GlobalState) -> list[Observation]:
 
 
 def decode_action(
-    action: Action, state: GlobalState, agent: int
-) -> tuple[Quotation, float]:
-    """Map a box action to a validated quotation plus reservation fraction.
+    joint_action: list[Action], state: GlobalState
+) -> tuple[list[Quotation], np.ndarray]:
+    """Map the joint action to validated quotations plus (n,) reservations.
 
-    The price magnitude is an affine map of |price_raw| onto the hour's
-    envelope, so the envelope constraint holds by construction; the role
-    (non-negative price buys) fixes the physical quantity cap.
+    Checks the agent count and that every field is finite, raising
+    `InvalidAction` before anything else. Each action is clamped into the
+    box; the price magnitude is an affine map of |price_raw| onto the
+    hour's envelope, the side (non-negative price buys) picks the
+    physical quantity cap, and every quote passes the market's envelope
+    check.
     """
-    a = action.clipped()
     cfg = state.config
+    if len(joint_action) != cfg.n_agents:
+        raise InvalidAction(f"need {cfg.n_agents} actions, got {len(joint_action)}")
+    raw = np.array([(a.price_raw, a.qty_frac, a.reservation) for a in joint_action])
+    finite = np.isfinite(raw)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        raise InvalidAction(f"agent {i}: non-finite action {joint_action[i]}")
+
+    price_raw, qty_frac, reservation = _clip_to_box(raw).T
     t = state.hour
     env = cfg.envelope_at(t)
-    magnitude = env.feed_in + abs(a.price_raw) * (env.emergency - env.feed_in)
-    role = "buyer" if a.price_raw >= 0 else "seller"
-    cap = max_bid_quantity(
-        state.load[agent, t], state.gen[agent, t], role, cfg.fleet[agent], cfg.dt
-    )
-    price = magnitude if role == "buyer" else -magnitude
-    return Quotation(agent, price, a.qty_frac * cap), a.reservation
+    magnitude = env.feed_in + np.abs(price_raw) * (env.emergency - env.feed_in)
+    buyer = price_raw >= 0
+    cap = max_bid_quantity(state.load[:, t], state.gen[:, t], buyer, cfg.plant, cfg.dt)
+    price = np.where(buyer, magnitude, -magnitude)
+    quotes = [
+        Quotation(i, p, q)
+        for i, (p, q) in enumerate(zip(price.tolist(), (qty_frac * cap).tolist()))
+    ]
+    for quote in quotes:
+        require_valid(quote, env)
+    return quotes, reservation
 
 
 def _clear(quotes: list[Quotation], m: MarketFactor, cfg: EnvConfig, t: int) -> TradeLedger:
@@ -429,21 +447,10 @@ def step(state: GlobalState, joint_action: list[Action]) -> StepResult:
     cfg = state.config
     if state.hour >= cfg.horizon:
         raise EpisodeFinished(f"episode already finished after {cfg.horizon} steps")
-    if len(joint_action) != cfg.n_agents:
-        raise InvalidAction(f"need {cfg.n_agents} actions, got {len(joint_action)}")
-    for i, a in enumerate(joint_action):
-        if not all(math.isfinite(v) for v in (a.price_raw, a.qty_frac, a.reservation)):
-            raise InvalidAction(f"agent {i}: non-finite action {a}")
+    quotes, state.reservation = decode_action(joint_action, state)
 
     t = state.hour
     envelope = cfg.envelope_at(t)
-
-    decoded = [decode_action(action, state, i) for i, action in enumerate(joint_action)]
-    quotes = [quote for quote, _ in decoded]
-    for quote in quotes:
-        require_valid(quote, envelope)
-    state.reservation = np.array([reservation for _, reservation in decoded])
-
     ledger = _clear(quotes, _hour_market_factor(state), cfg, t)
     totals = ledger.agent_totals(cfg.n_agents)
     fleet = settle_and_balance(

@@ -83,12 +83,6 @@ DEFICIT = MarketFactor(1)
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    error: Exception | None = None
-
-
-@dataclass(frozen=True)
 class Trade:
     """One executed buyer/seller match.
 
@@ -218,30 +212,17 @@ class TradeLedger:
 # Book construction
 # ---------------------------------------------------------------------------
 
-def validate_quotation(q: Quotation, env: PriceEnvelope) -> ValidationResult:
+def require_valid(q: Quotation, env: PriceEnvelope) -> None:
     """Check a quotation against the hour's price envelope.
 
     Zero-quantity quotes are always valid (null quote); otherwise the price
-    magnitude must lie inside [feed_in, emergency].
+    magnitude must lie inside [feed_in, emergency]. Raises
+    `NegativeQuantity` or `PriceOutOfEnvelope`.
     """
     if not (q.quantity >= 0):
-        return ValidationResult(False, NegativeQuantity(f"quantity {q.quantity} < 0"))
-    if q.quantity == 0:
-        return ValidationResult(True)
-    if not (env.feed_in <= q.ask <= env.emergency):
-        return ValidationResult(
-            False,
-            PriceOutOfEnvelope(
-                f"|price| {q.ask} outside [{env.feed_in}, {env.emergency}]"
-            ),
-        )
-    return ValidationResult(True)
-
-
-def require_valid(q: Quotation, env: PriceEnvelope) -> None:
-    res = validate_quotation(q, env)
-    if not res.ok:
-        raise res.error
+        raise NegativeQuantity(f"quantity {q.quantity} < 0")
+    if q.quantity > 0 and not (env.feed_in <= q.ask <= env.emergency):
+        raise PriceOutOfEnvelope(f"|price| {q.ask} outside [{env.feed_in}, {env.emergency}]")
 
 
 def partition(quotes: list[Quotation]) -> tuple[list[Quotation], list[Quotation]]:
@@ -273,14 +254,29 @@ def sort_order_book(
     """
     if m.value < 0:
         b = sorted(buyers, key=lambda q: (-q.price * q.quantity, q.agent_id))
-        s = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
+        s = sorted(sellers, key=_ask_key)
     elif m.value > 0:
-        b = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
+        b = sorted(buyers, key=_bid_key)
         s = sorted(sellers, key=lambda q: (-(p_e - q.ask) * q.quantity, q.agent_id))
     else:
-        b = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
-        s = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
+        b, s = _price_priority(buyers, sellers)
     return b, s
+
+
+def _bid_key(q: Quotation):
+    return (-q.price, q.agent_id)
+
+
+def _ask_key(q: Quotation):
+    return (q.ask, q.agent_id)
+
+
+def _price_priority(
+    buyers: list[Quotation], sellers: list[Quotation]
+) -> tuple[list[Quotation], list[Quotation]]:
+    """The classic book: buyers by descending bid, sellers by ascending ask,
+    ties toward the lower agent_id."""
+    return sorted(buyers, key=_bid_key), sorted(sellers, key=_ask_key)
 
 
 def midpoint_price(p_b: float, p_s_abs: float) -> float:
@@ -398,9 +394,7 @@ def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
     Buyers descend by bid, sellers ascend by ask; the front pair trades the
     smaller residual while the bid still covers the ask.
     """
-    buyers, sellers = partition(quotes)
-    buyers = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
-    sellers = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
+    buyers, sellers = _price_priority(*partition(quotes))
     trades = _greedy_match(
         [[q.agent_id, q.price, q.quantity] for q in buyers],
         [[q.agent_id, q.ask, q.quantity] for q in sellers],
@@ -461,9 +455,7 @@ def clear_mrda(
     if not (0.0 <= concession < 1.0):
         raise ValueError(f"concession must be in [0, 1), got {concession}")
 
-    buyers, sellers = partition(quotes)
-    buyers = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
-    sellers = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
+    buyers, sellers = _price_priority(*partition(quotes))
     buy_rows = [[q.agent_id, q.price, q.quantity] for q in buyers]
     sell_rows = [[q.agent_id, q.ask, q.quantity] for q in sellers]
 
@@ -495,9 +487,7 @@ def clear_vvda(quotes: list[Quotation]) -> TradeLedger:
     receives the rank-k ask, so the operator keeps a non-negative surplus
     and the marginal pair is sacrificed for incentive reasons.
     """
-    buyers, sellers = partition(quotes)
-    buyers = sorted(buyers, key=lambda q: (-q.price, q.agent_id))
-    sellers = sorted(sellers, key=lambda q: (q.ask, q.agent_id))
+    buyers, sellers = _price_priority(*partition(quotes))
     buyer_ids = [q.agent_id for q in buyers]
     seller_ids = [q.agent_id for q in sellers]
 

@@ -200,12 +200,12 @@ class Sgd:
             p.grad = None
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+
+
 def make_optimizer(kind: str, params: list[Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"optimizer must be 'adam' or 'sgd', got {kind!r}")
+    """An optimizer by name; `Hyperparams` rejects names not in OPTIMIZERS."""
+    return OPTIMIZERS[kind](params, lr)
 
 
 @dataclass

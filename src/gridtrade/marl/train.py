@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import Action, EnvConfig, TradingEnv, observation_dim
+from ..env import WINDOW_FIELDS, Action, EnvConfig, Observation, TradingEnv, observation_dim
 from ..scenario import rng_stream
 from .nets import CriticNet, PolicyNet
 from .ppo import (
+    OPTIMIZERS,
     RolloutBuffer,
     actor_loss,
     compute_gae,
@@ -71,6 +72,10 @@ class Hyperparams:
             raise ValueError("epochs/minibatch_size/episodes out of range")
         if self.episodes_per_update < 1:
             raise ValueError("episodes_per_update must be >= 1")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(
+                f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}"
+            )
 
     @classmethod
     def paper_scale(cls) -> "Hyperparams":
@@ -104,14 +109,22 @@ class ObsNormalizer:
         W = config.window_len
         for params in config.fleet:
             load_scale = max(params.l_max, 1.0)
-            gen_scale = max(params.g_max, 1.0)
-            window = np.tile(
-                [load_scale, load_scale, gen_scale, p_e_max], (W, 1)
-            ).ravel()
-            scale = np.concatenate(
-                [[1.0, max(params.e_max, 1.0)], window, np.ones(W), [1.0, 1.0]]
+            field_scale = {
+                "q_da": load_scale,
+                "load_est": load_scale,
+                "gen_est": max(params.g_max, 1.0),
+                "p_e": p_e_max,
+            }
+            # an observation holding each feature's scale, laid out by `as_vector`
+            scale = Observation(
+                m=1,
+                soc=max(params.e_max, 1.0),
+                window=np.tile([field_scale[f] for f in WINDOW_FIELDS], (W, 1)),
+                window_mask=np.ones(W),
+                hour_sin=1.0,
+                hour_cos=1.0,
             )
-            self.scales.append(scale)
+            self.scales.append(scale.as_vector())
 
     def __call__(self, obs_vector: np.ndarray, agent: int) -> np.ndarray:
         return obs_vector / self.scales[agent]
@@ -221,7 +234,7 @@ def train(
                 act_box, u = dist.sample(sample_rngs[i])
                 logp = dist.log_prob(u)
                 value = float(nets[i].critic.value(global_obs)[0])
-                actions.append(Action.from_array(act_box))
+                actions.append(Action(*act_box.tolist()))
                 step_samples.append((u, logp, value))
             result = env.step(actions)
             for i in range(n):

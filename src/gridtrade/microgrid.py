@@ -125,19 +125,17 @@ def day_ahead_quantity(load_forecast, gen_forecast, beta):
     return np.where(q > 0.0, q, 0.0)
 
 
-def max_bid_quantity(
-    load: float, gen: float, role: str, params: MicrogridParams, dt: float = 1.0
-) -> float:
-    """Physical cap on the bid quantity given the agent's role.
+def max_bid_quantity(load, gen, buyer, params, dt: float = 1.0):
+    """Physical cap on the bid quantity, floored at zero.
 
     A buyer can absorb its deficit plus a full-rate charge; a seller can
-    export its surplus plus a full-rate discharge.
+    export its surplus plus a full-rate discharge. Works elementwise:
+    `params` is one `MicrogridParams` or a fleet's `FleetParams`, and
+    `buyer` is a bool or a bool array choosing the side.
     """
-    if role == "buyer":
-        return max(0.0, load - gen + params.t_charge_max * dt)
-    if role == "seller":
-        return max(0.0, gen - load + params.t_discharge_max * dt)
-    raise ValueError(f"role must be 'buyer' or 'seller', got {role!r}")
+    net = _pick(buyer, load - gen, gen - load)
+    rate = _pick(buyer, params.t_charge_max, params.t_discharge_max)
+    return _max(0.0, net + rate * dt)
 
 
 @dataclass
@@ -167,18 +165,26 @@ class FleetSettlement:
         ]
 
 
+def _pick(cond, a, b):
+    """`a` where `cond` holds, else `b`: elementwise for an array `cond`,
+    a plain branch for a scalar one (`np.where` costs microseconds there)."""
+    if isinstance(cond, (bool, np.bool_)):
+        return a if cond else b
+    return np.where(cond, a, b)
+
+
 def _max(a, b):
     """Elementwise `max(a, b)` with Python's tie rule: `a` unless `b > a`.
 
     `np.maximum(0.0, -0.0)` is -0.0 where `max(0.0, -0.0)` is 0.0; the
     written trajectories keep the sign of zero, so the rule matters.
     """
-    return np.where(b > a, b, a)
+    return _pick(b > a, b, a)
 
 
 def _min(a, b):
     """Elementwise `min(a, b)` with Python's tie rule: `a` unless `b < a`."""
-    return np.where(b < a, b, a)
+    return _pick(b < a, b, a)
 
 
 def settle_and_balance(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .env import Action, Observation
-from .microgrid import MicrogridParams
+from .microgrid import MicrogridParams, max_bid_quantity
 from .scenario import STREAM_ACTION, rng_stream
 
 POLICY_RULES = ("net-position", "random", "zero")
@@ -67,12 +67,12 @@ class ScriptedPolicy:
         net = gen_est + q_da - load_est
         p = ctx.params
         if net < -1e-9:
-            cap = max(0.0, load_est - gen_est + p.t_charge_max * ctx.dt)
+            cap = max_bid_quantity(load_est, gen_est, True, p, ctx.dt)
             headroom = min(max(0.0, p.e_max - obs.soc), p.t_charge_max * ctx.dt)
             qty_frac = min(1.0, (-net + headroom) / cap) if cap > 0 else 0.0
             return Action(1.0 - self.margin, qty_frac, 1.0)
         if net > 1e-9:
-            cap = max(0.0, gen_est - load_est + p.t_discharge_max * ctx.dt)
+            cap = max_bid_quantity(load_est, gen_est, False, p, ctx.dt)
             qty_frac = min(1.0, net / cap) if cap > 0 else 0.0
             return Action(-self.margin, qty_frac, 1.0)
         return Action(0.0, 0.0, 1.0)

@@ -59,16 +59,23 @@ class TrajectoryWriter:
     """JSON-lines trajectory sink, one record per environment step."""
 
     def __init__(self, path: Path):
+        self._path = path
         try:
             self._fh = open(path, "w")
         except OSError as e:
             raise IoError(f"cannot write {path}: {e}") from e
 
     def __call__(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        try:
+            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        except OSError as e:
+            raise IoError(f"cannot write {self._path}: {e}") from e
 
     def close(self) -> None:
-        self._fh.close()
+        try:
+            self._fh.close()
+        except OSError as e:
+            raise IoError(f"cannot write {self._path}: {e}") from e
 
     def __enter__(self):
         return self

@@ -1,6 +1,7 @@
 """CLI command tests: outputs, determinism, error handling, checkpoints."""
 
 import json
+import os
 
 import pytest
 import yaml
@@ -282,3 +283,37 @@ class TestUnwritableOut:
         out = tmp_path / "nodir" / "sub" / "x.csv"
         argv = ["export", "--input", str(sim / "trajectory.jsonl"), "--out", str(out)]
         assert self.rc_and_err(argv, out, capsys) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_trajectory_write_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "trajectory.jsonl"
+        path.symlink_to("/dev/full")
+        argv = ["simulate", "--episodes", "1", "--seed", "1", "--out", str(out)]
+        assert self.rc_and_err(argv, path, capsys) == 1
+
+
+class TestMalformedConfigValues:
+    """A config value of the wrong type or range exits 2 with `config error:`."""
+
+    @pytest.mark.parametrize("command,raw", [
+        ("simulate", {"margin": "abc"}),
+        ("simulate", {"margin": 2.0}),
+        ("simulate", {"mrda": {"rounds": "x"}}),
+        ("simulate", {"noise": {"obs_sigma": "abc"}}),
+        ("simulate", {"market_factor": {"lower": "x"}}),
+        ("simulate", {"window": {"past": "x"}}),
+        ("simulate", {"disruption": 5}),
+        ("simulate", {"seed": True}),
+        ("simulate", {"episodes": True}),
+        ("train", {"learner": {"optimizer": "rmsprop"}}),
+    ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
+            "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop"])
+    def test_exit_code_2(self, command, raw, tmp_path, capsys):
+        argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
+        if "episodes" not in raw:
+            argv += ["--episodes", "0"]
+        rc = main(argv)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")

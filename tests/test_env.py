@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from gridtrade.env import (
+    ACTION_HIGH,
+    ACTION_LOW,
     Action,
     EnvConfig,
     GlobalState,
@@ -19,6 +21,7 @@ from gridtrade.env import (
     step_record,
 )
 from gridtrade.errors import ConfigInvalid, EpisodeFinished, GridTradeError, InvalidAction
+from gridtrade.market import Quotation
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
     MicrogridParams,
@@ -104,6 +107,35 @@ def reference_observation(state, agent):
             )
             mask[k] = 1.0
     return m, float(state.energy[agent]), window, mask, math.sin(theta), math.cos(theta)
+
+
+def reference_decode(action, state, agent):
+    """Per-agent reference: one agent's action clamped with Python's
+    min/max and decoded with scalar arithmetic. The one-pass
+    `decode_action` must equal it, signed zeros included."""
+    lo, hi = ACTION_LOW.tolist(), ACTION_HIGH.tolist()
+    price_raw = min(max(action.price_raw, lo[0]), hi[0])
+    qty_frac = min(max(action.qty_frac, lo[1]), hi[1])
+    reservation = min(max(action.reservation, lo[2]), hi[2])
+    cfg = state.config
+    t = state.hour
+    env = cfg.envelope_at(t)
+    params = cfg.fleet[agent]
+    load, gen = state.load[agent, t], state.gen[agent, t]
+    magnitude = env.feed_in + abs(price_raw) * (env.emergency - env.feed_in)
+    if price_raw >= 0:
+        cap = max(0.0, load - gen + params.t_charge_max * cfg.dt)
+        price = magnitude
+    else:
+        cap = max(0.0, gen - load + params.t_discharge_max * cfg.dt)
+        price = -magnitude
+    return Quotation(agent, price, qty_frac * cap), reservation
+
+
+def decode_one(action, state):
+    """Decode a one-agent joint action; returns (quote, reservation)."""
+    quotes, reservation = decode_action([action], state)
+    return quotes[0], reservation[0]
 
 
 class TestReset:
@@ -266,58 +298,84 @@ class TestObservation:
 
 
 class TestDecodeAction:
-    def make_unit_state(self, load=10.0, gen=3.0):
+    def make_unit_state(self, load=10.0, gen=3.0, n=1):
         sched = PriceSchedule(feed_in=0.2, emergency=np.full(24, 2.2), day_ahead=0.5)
-        cfg = quiet_config(fleet=(DEFAULT_FLEET[0],), prices=sched)
+        cfg = quiet_config(fleet=(DEFAULT_FLEET[0],) * n, prices=sched)
         return make_state(
-            cfg, load=np.full((1, 24), load), gen=np.full((1, 24), gen)
+            cfg, load=np.full((n, 24), load), gen=np.full((n, 24), gen)
         )
 
     def test_affine_price_map(self):
         state = self.make_unit_state()
-        quote, _ = decode_action(Action(0.5, 0.5, 1.0), state, 0)
+        quote, _ = decode_one(Action(0.5, 0.5, 1.0), state)
         assert quote.price == pytest.approx(1.2)
         assert quote.is_buyer
 
     def test_boundary_maps_to_envelope_edge(self):
         state = self.make_unit_state()
-        quote, _ = decode_action(Action(-1.0, 0.5, 1.0), state, 0)
+        quote, _ = decode_one(Action(-1.0, 0.5, 1.0), state)
         assert quote.price == pytest.approx(-2.2)
 
     def test_zero_fraction_gives_null_quote(self):
         state = self.make_unit_state()
-        quote, _ = decode_action(Action(0.7, 0.0, 0.3), state, 0)
+        quote, _ = decode_one(Action(0.7, 0.0, 0.3), state)
         assert quote.quantity == 0.0
 
     def test_zero_price_raw_is_buyer_at_feed_in(self):
         state = self.make_unit_state()
-        quote, _ = decode_action(Action(0.0, 0.5, 1.0), state, 0)
+        quote, _ = decode_one(Action(0.0, 0.5, 1.0), state)
         assert quote.is_buyer
         assert quote.price == pytest.approx(0.2)
 
     def test_quantity_capped_by_role_limit(self):
         state = self.make_unit_state(load=10, gen=3)
-        quote, _ = decode_action(Action(1.0, 1.0, 1.0), state, 0)
+        quote, _ = decode_one(Action(1.0, 1.0, 1.0), state)
         # buyer cap: 10 - 3 + 4 = 11
         assert quote.quantity == pytest.approx(11.0)
-        quote, _ = decode_action(Action(-1.0, 1.0, 1.0), state, 0)
+        quote, _ = decode_one(Action(-1.0, 1.0, 1.0), state)
         assert quote.quantity == 0.0  # seller cap floors at zero
 
     def test_reservation_passthrough_and_fuzz_validity(self):
-        # action-range robustness: any box action decodes to a valid quote
-        state = self.make_unit_state()
+        # action-range robustness: any box action decodes to a valid quote;
+        # 1,000 identical agents decode the draws 1,000 at a time
+        width = 1000
+        state = self.make_unit_state(n=width)
         env = state.config.envelope_at(0)
         rng = np.random.default_rng(0)
         draws = rng.uniform(
             [-1.0, 0.0, 0.0], [1.0, 1.0, 1.0], size=(100_000, 3)
         )
         cap = 11.0  # buyer: 10 - 3 + 4; seller caps at 0
-        for row in draws:
-            quote, reservation = decode_action(Action(*row), state, 0)
-            assert 0 <= reservation <= 1
-            assert 0 <= quote.quantity <= cap
-            if quote.quantity > 0:
-                assert env.feed_in <= quote.ask <= env.emergency
+        for chunk in draws.reshape(-1, width, 3):
+            quotes, reservation = decode_action([Action(*row) for row in chunk], state)
+            assert ((0 <= reservation) & (reservation <= 1)).all()
+            for quote in quotes:
+                assert 0 <= quote.quantity <= cap
+                if quote.quantity > 0:
+                    assert env.feed_in <= quote.ask <= env.emergency
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_matches_per_agent_reference(self, n):
+        # out-of-box draws, with +-0.0 and +-1.0 planted in every field
+        fleet = tuple(DEFAULT_FLEET[i % 4] for i in range(n))
+        cfg = EnvConfig(fleet=fleet, m_lower=-7.5 * n, m_upper=-5.0 * n)
+        state, _ = reset(cfg, seed=n)
+        rng = np.random.default_rng(n)
+        specials = np.array([0.0, -0.0, 1.0, -1.0])
+        for t in range(cfg.horizon):
+            raw = rng.uniform(-1.5, 1.5, (n, 3))
+            planted = rng.random((n, 3)) < 0.3
+            raw[planted] = rng.choice(specials, planted.sum())
+            joint = [Action(*row) for row in raw.tolist()]
+            quotes, reservation = decode_action(joint, state)
+            assert len(quotes) == n and reservation.shape == (n,)
+            for i, action in enumerate(joint):
+                ref_quote, ref_reservation = reference_decode(action, state, i)
+                assert quotes[i].agent_id == i
+                assert repr(float(quotes[i].price)) == repr(float(ref_quote.price))
+                assert repr(float(quotes[i].quantity)) == repr(float(ref_quote.quantity))
+                assert repr(float(reservation[i])) == repr(float(ref_reservation))
+            step(state, joint)
 
 
 class TestStep:

@@ -19,8 +19,8 @@ from gridtrade.market import (
     clear_vvda,
     midpoint_price,
     partition,
+    require_valid,
     sort_order_book,
-    validate_quotation,
 )
 
 ENV = PriceEnvelope(feed_in=0.2, day_ahead=1.0, emergency=2.0)
@@ -51,33 +51,30 @@ def dense(ledger):
 
 
 # ---------------------------------------------------------------------------
-# validate_quotation
+# require_valid
 # ---------------------------------------------------------------------------
 
 class TestValidateQuotation:
     def test_buyer_inside_envelope(self):
-        assert validate_quotation(q(0, 0.5, 3), ENV).ok
+        require_valid(q(0, 0.5, 3), ENV)
 
     def test_seller_at_feed_in_floor(self):
-        assert validate_quotation(q(0, -0.2, 5), ENV).ok
+        require_valid(q(0, -0.2, 5), ENV)
 
     def test_price_below_floor_rejected(self):
-        res = validate_quotation(q(0, 0.1, 1), ENV)
-        assert not res.ok
-        assert isinstance(res.error, PriceOutOfEnvelope)
+        with pytest.raises(PriceOutOfEnvelope):
+            require_valid(q(0, 0.1, 1), ENV)
 
     def test_price_above_emergency_rejected(self):
-        res = validate_quotation(q(0, -2.5, 1), ENV)
-        assert not res.ok
-        assert isinstance(res.error, PriceOutOfEnvelope)
+        with pytest.raises(PriceOutOfEnvelope):
+            require_valid(q(0, -2.5, 1), ENV)
 
     def test_null_quote_always_valid(self):
-        assert validate_quotation(q(0, 99.0, 0), ENV).ok
+        require_valid(q(0, 99.0, 0), ENV)
 
     def test_negative_quantity(self):
-        res = validate_quotation(q(0, 0.5, -1), ENV)
-        assert not res.ok
-        assert isinstance(res.error, NegativeQuantity)
+        with pytest.raises(NegativeQuantity):
+            require_valid(q(0, 0.5, -1), ENV)
 
     def test_envelope_ordering_enforced(self):
         with pytest.raises(ValueError):

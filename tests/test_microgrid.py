@@ -120,17 +120,21 @@ class TestDayAhead:
 
 class TestMaxBidQuantity:
     def test_buyer_branch(self):
-        assert max_bid_quantity(10, 3, "buyer", make_params()) == 11
+        assert max_bid_quantity(10, 3, True, make_params()) == 11
 
     def test_seller_floors_at_zero(self):
-        assert max_bid_quantity(10, 3, "seller", make_params()) == 0.0
+        assert max_bid_quantity(10, 3, False, make_params()) == 0.0
 
     def test_seller_branch(self):
-        assert max_bid_quantity(2, 7, "seller", make_params(t_discharge_max=5)) == 10
+        assert max_bid_quantity(2, 7, False, make_params(t_discharge_max=5)) == 10
 
-    def test_unknown_role(self):
-        with pytest.raises(ValueError):
-            max_bid_quantity(1, 1, "broker", make_params())
+    def test_fleet_elementwise(self):
+        params = [make_params(), make_params(t_discharge_max=5), make_params()]
+        caps = max_bid_quantity(
+            np.array([10.0, 2.0, 10.0]), np.array([3.0, 7.0, 3.0]),
+            np.array([True, False, False]), FleetParams.of(params),
+        )
+        assert caps.tolist() == [11.0, 10.0, 0.0]
 
 
 class TestSettleAndBalance:

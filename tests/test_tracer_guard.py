@@ -51,6 +51,6 @@ def test_install_patches_and_undo_restores_everything(tracing):
         "rng_stream", "sample_realization", "apply_pv_disruption", "settle_and_balance",
         "p2p_profit", "clear_jpq", "clear_greedy", "clear_mrda", "clear_vvda",
     } <= env_names
-    for label in ("env.reset", "env.step", "env.build_observation",
+    for label in ("env.reset", "env.step", "env.build_observation", "env.decode_action",
                   "env.compute_market_factor", "microgrid.settle_and_balance"):
         assert labels[label]["calls"] >= 1, label
