@@ -60,9 +60,8 @@ fleet = settle_and_balance(
     reservation=column([ess[1] for _, _, ess in cases]),
     prices=prices, dt=1.0, plant=FleetParams.of([params] * len(cases)),
 )
-records = fleet.records([0.0] * len(cases))
 for i, (label, _, _) in enumerate(cases):
-    record = records[i]
+    record = fleet[i]  # agent i's row of the fleet settlement
     residual = balance_residual(record, load[i], gen[i])
     print(f"  {label}:")
     print(

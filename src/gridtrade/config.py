@@ -145,6 +145,13 @@ def _prices_from_csv(path: Path, feed_in: float, day_ahead: float) -> PriceSched
         raise ConfigInvalid(f"prices: {path}: {e}") from e
 
 
+def _whole(value) -> int:
+    """`value` as an int; a bool or a fractional float is an error, not truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def _setting(merged: dict, section: str, key: str, kind):
     """One numeric setting of a config section, converted by `kind`."""
     value = merged[section][key]
@@ -152,6 +159,13 @@ def _setting(merged: dict, section: str, key: str, kind):
         return kind(value)
     except (TypeError, ValueError) as e:
         raise ConfigInvalid(f"{section}.{key}: {e}") from e
+
+
+def _flag(name: str, value) -> bool:
+    """A yes/no setting; only a YAML boolean counts, so the string 'no' is an error."""
+    if not isinstance(value, bool):
+        raise ConfigInvalid(f"{name}: must be true or false, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
@@ -179,6 +193,8 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         paths = merged["profiles"]
         if isinstance(paths, str):
             paths = [paths]
+        if not isinstance(paths, (list, tuple)) or not all(isinstance(p, str) for p in paths):
+            raise ConfigInvalid(f"profiles: expected 'bundled' or CSV paths, got {paths!r}")
         if len(paths) != len(fleet):
             raise ConfigInvalid(
                 f"profiles: need one file per fleet member ({len(fleet)}), got {len(paths)}"
@@ -199,12 +215,15 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigInvalid(f"prices: {e}") from e
-    else:
+    elif isinstance(merged["prices"], str):
         prices = _prices_from_csv(base_dir / merged["prices"], 0.2, 0.5)
+    else:
+        raise ConfigInvalid(f"prices: expected 'bundled', a mapping or a CSV path, "
+                            f"got {merged['prices']!r}")
 
     try:
         dis = dict(merged["disruption"])
-        if bool(dis.pop("use_reported", False)):
+        if _flag("disruption.use_reported", dis.pop("use_reported", False)):
             # reported rates win unless the user explicitly set a probability
             user_dis = raw.get("disruption") or {}
             base = DisruptionConfig.reported()
@@ -235,16 +254,16 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             profiles=profiles,
             prices=prices,
             mechanism=merged["mechanism"],
-            mrda_rounds=_setting(merged, "mrda", "rounds", int),
+            mrda_rounds=_setting(merged, "mrda", "rounds", _whole),
             mrda_concession=_setting(merged, "mrda", "concession", float),
             m_lower=_setting(merged, "market_factor", "lower", float),
             m_upper=_setting(merged, "market_factor", "upper", float),
             process_sigma=_setting(merged, "noise", "process_sigma", float),
             obs_sigma=_setting(merged, "noise", "obs_sigma", float),
             disruption=disruption,
-            delta_past=_setting(merged, "window", "past", int),
-            delta_future=_setting(merged, "window", "future", int),
-            carry_over_soc=bool(merged["carry_over_soc"]),
+            delta_past=_setting(merged, "window", "past", _whole),
+            delta_future=_setting(merged, "window", "future", _whole),
+            carry_over_soc=_flag("carry_over_soc", merged["carry_over_soc"]),
         )
     except (TypeError, KeyError) as e:
         raise ConfigInvalid(str(e)) from e

@@ -8,6 +8,10 @@ feed-in recourse. Rewards are the per-agent hourly profits; since the
 budget-balanced mechanisms cancel P2P cash flows, the community reward
 always equals the community grid profit.
 
+The fleet is the unit of the interface: one `Observation` holds every
+agent's view as arrays, `step` takes the (n, 3) joint action and returns
+(n,) rewards and settlement columns, and `rollout_day` runs a whole day.
+
 The environment is fully deterministic given (config, seed): scenario
 draws, observation noise, and any policy randomness all come from
 counter-based streams keyed by explicit paths.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +42,8 @@ from .microgrid import (
     DEFAULT_FLEET,
     EssState,
     FleetParams,
+    FleetSettlement,
     MicrogridParams,
-    SettlementRecord,
     _max,
     _min,
     day_ahead_quantity,
@@ -158,17 +163,17 @@ def _clip_to_box(actions: np.ndarray) -> np.ndarray:
     return _min(_max(actions, ACTION_LOW), ACTION_HIGH)
 
 
-@dataclass(frozen=True)
-class Action:
-    """Squashed agent action: signed price position, quantity fraction, reservation."""
+class Action(NamedTuple):
+    """One agent's squashed action: signed price position, quantity fraction,
+    reservation. A list of n of them is a joint action, read as an (n, 3) array."""
 
     price_raw: float
     qty_frac: float
     reservation: float
 
     def clipped(self) -> "Action":
-        box = _clip_to_box(np.array([self.price_raw, self.qty_frac, self.reservation]))
-        return Action(*box.tolist())
+        return Action(*_clip_to_box(np.array(self)).tolist())
+
 
 # window feature order
 WINDOW_FIELDS = ("q_da", "load_est", "gen_est", "p_e")
@@ -176,24 +181,28 @@ WINDOW_FIELDS = ("q_da", "load_est", "gen_est", "p_e")
 
 @dataclass(frozen=True)
 class Observation:
-    """Per-agent local view: market factor, SoC, noisy temporal window, clock."""
+    """The fleet's local views for one hour: a shared market factor, mask
+    and clock, plus each agent's SoC and noisy temporal window (row i)."""
 
     m: int
-    soc: float
-    window: np.ndarray        # (window_len, 4) in WINDOW_FIELDS order
+    soc: np.ndarray           # (n,) stored kWh
+    window: np.ndarray        # (n, window_len, 4) in WINDOW_FIELDS order
     window_mask: np.ndarray   # (window_len,) 1 = in-horizon slot
     hour_sin: float
     hour_cos: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                [self.m, self.soc],
-                self.window.ravel(),
-                self.window_mask,
-                [self.hour_sin, self.hour_cos],
-            ]
-        ).astype(np.float64)
+    def as_matrix(self) -> np.ndarray:
+        """(n, obs_dim) float64; row i is agent i's observation vector,
+        [m, soc, window (row-major), window_mask, hour_sin, hour_cos]."""
+        n, W, F = self.window.shape
+        out = np.empty((n, 2 + W * F + W + 2))
+        out[:, 0] = self.m
+        out[:, 1] = self.soc
+        out[:, 2 : 2 + W * F] = self.window.reshape(n, W * F)
+        out[:, 2 + W * F : -2] = self.window_mask
+        out[:, -2] = self.hour_sin
+        out[:, -1] = self.hour_cos
+        return out
 
 
 def observation_dim(config: EnvConfig) -> int:
@@ -237,10 +246,10 @@ class GlobalState:
 
 @dataclass
 class StepResult:
-    observations: list[Observation]
-    rewards: list[float]
+    observations: Observation      # the fleet's view of the next hour
+    rewards: np.ndarray            # (n,) hourly profits
     ledger: TradeLedger
-    settlements: list[SettlementRecord]
+    settlements: FleetSettlement   # (n,) columns; indexes as SettlementRecords
     done: bool
 
 
@@ -293,7 +302,7 @@ def day_windows(
 
 def reset(
     config: EnvConfig, seed: int, initial_energy: np.ndarray | list[float] | None = None
-) -> tuple[GlobalState, list[Observation]]:
+) -> tuple[GlobalState, Observation]:
     """Sample a fresh day and return the initial observations."""
     n = config.n_agents
     T = config.horizon
@@ -362,12 +371,13 @@ def _hour_market_factor(state: GlobalState) -> MarketFactor:
     return state.market_factor
 
 
-def build_observation(state: GlobalState) -> list[Observation]:
-    """Every agent's local view for the current hour.
+def build_observation(state: GlobalState) -> Observation:
+    """The fleet's local views for the current hour.
 
-    The windows are views into the day's precomputed tensor (see
-    `day_windows`); the market factor is computed once for the hour. After
-    the last hour every window is zero and the market factor reads 0.
+    The windows are a read-only view into the day's precomputed tensor (see
+    `day_windows`), the SoC a copy, and the market factor is computed once
+    for the hour. After the last hour every window is zero and the market
+    factor reads 0.
     """
     cfg = state.config
     t = state.hour
@@ -377,32 +387,31 @@ def build_observation(state: GlobalState) -> list[Observation]:
     else:
         m = _hour_market_factor(state).value
         theta = 2 * math.pi * t / HOURS
-    hour_sin, hour_cos = math.sin(theta), math.cos(theta)
-    windows = state.windows[:, t]
-    mask = state.window_mask[t]
-    return [
-        Observation(m=m, soc=soc, window=windows[i], window_mask=mask,
-                    hour_sin=hour_sin, hour_cos=hour_cos)
-        for i, soc in enumerate(state.energy.tolist())
-    ]
+    return Observation(m=m, soc=state.energy.copy(), window=state.windows[:, t],
+                       window_mask=state.window_mask[t],
+                       hour_sin=math.sin(theta), hour_cos=math.cos(theta))
 
 
-def decode_action(
-    joint_action: list[Action], state: GlobalState
-) -> tuple[list[Quotation], np.ndarray]:
+def decode_action(joint_action, state: GlobalState) -> tuple[list[Quotation], np.ndarray]:
     """Map the joint action to validated quotations plus (n,) reservations.
 
-    Checks the agent count and that every field is finite, raising
-    `InvalidAction` before anything else. Each action is clamped into the
-    box; the price magnitude is an affine map of |price_raw| onto the
-    hour's envelope, the side (non-negative price buys) picks the
-    physical quantity cap, and every quote passes the market's envelope
-    check.
+    `joint_action` is anything that reads as an (n, 3) float array: an
+    ndarray, nested lists, or a list of `Action`s. A wrong shape, a ragged
+    or non-numeric value or a non-finite field raises `InvalidAction`
+    before anything else. Each action is clamped into the box; the price
+    magnitude is an affine map of |price_raw| onto the hour's envelope, the
+    side (non-negative price buys) picks the physical quantity cap, and
+    every quote passes the market's envelope check.
     """
     cfg = state.config
-    if len(joint_action) != cfg.n_agents:
-        raise InvalidAction(f"need {cfg.n_agents} actions, got {len(joint_action)}")
-    raw = np.array([(a.price_raw, a.qty_frac, a.reservation) for a in joint_action])
+    try:
+        raw = np.asarray(joint_action, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InvalidAction(f"joint action is not an (n, 3) array of numbers: {e}") from e
+    if raw.ndim != 2 or raw.shape[1] != ACTION_DIM:
+        raise InvalidAction(f"need {ACTION_DIM} fields per action, got shape {raw.shape}")
+    if len(raw) != cfg.n_agents:
+        raise InvalidAction(f"need {cfg.n_agents} actions, got {len(raw)}")
     finite = np.isfinite(raw)
     if not finite.all():
         i = int(np.argmin(finite.all(axis=1)))
@@ -437,12 +446,13 @@ def _clear(quotes: list[Quotation], m: MarketFactor, cfg: EnvConfig, t: int) -> 
     raise ConfigInvalid(f"mechanism: unknown name {cfg.mechanism!r}")
 
 
-def step(state: GlobalState, joint_action: list[Action]) -> StepResult:
+def step(state: GlobalState, joint_action) -> StepResult:
     """Advance one hour: quote, clear, settle, reward, observe.
 
-    Mutates `state` (hour, storage) and returns the step outcome. The whole
-    joint action is decoded and validated before any state changes, so a
-    rejected joint action leaves `state` untouched.
+    `joint_action` is the (n, 3) joint action of `decode_action`. Mutates
+    `state` (hour, storage) and returns the step outcome. The whole joint
+    action is decoded and validated before any state changes, so a rejected
+    joint action leaves `state` untouched.
     """
     cfg = state.config
     if state.hour >= cfg.horizon:
@@ -465,14 +475,13 @@ def step(state: GlobalState, joint_action: list[Action]) -> StepResult:
         dt=cfg.dt,
         plant=cfg.plant,
     )
-    settlements = fleet.records(p2p_profit(totals.received_micro, totals.paid_micro))
-    rewards = [record.reward for record in settlements]
+    fleet.profit_p2p = np.array(p2p_profit(totals.received_micro, totals.paid_micro))
 
     state.energy = fleet.energy
     state.hour += 1
     state.market_factor = None
     done = state.hour >= cfg.horizon
-    return StepResult(build_observation(state), rewards, ledger, settlements, done)
+    return StepResult(build_observation(state), fleet.reward, ledger, fleet, done)
 
 
 class TradingEnv:
@@ -492,28 +501,45 @@ class TradingEnv:
             raise EpisodeFinished("reset() has not been called")
         return self._state
 
-    def reset(self, seed: int) -> list[Observation]:
+    def reset(self, seed: int) -> Observation:
         carry = None
         if self.config.carry_over_soc and self._state is not None:
             carry = self._state.energy
         self._state, obs = reset(self.config, seed, initial_energy=carry)
         return obs
 
-    def step(self, joint_action: list[Action]) -> StepResult:
+    def step(self, joint_action) -> StepResult:
         return step(self.state, joint_action)
 
 
-def step_record(
-    episode: int, hour: int, actions: list[Action], result: StepResult
-) -> dict:
+def rollout_day(env: TradingEnv, seed: int, act, on_step=None) -> tuple[np.ndarray, ...]:
+    """Run one day from `env.reset(seed)`, each hour's joint action from `act`.
+
+    `act(hour, obs)` returns the (n, 3) joint action for the fleet
+    observation `obs`; `on_step(hour, actions, result)`, if given, sees
+    every step. Returns the (T, n) series of reward, emergency purchase,
+    feed-in export and end-of-hour stored energy, in that order.
+    """
+    obs = env.reset(seed)
+    series = np.empty((4, env.config.horizon, env.n_agents))
+    for t in range(env.config.horizon):
+        actions = act(t, obs)
+        result = env.step(actions)
+        if on_step is not None:
+            on_step(t, actions, result)
+        obs = result.observations
+        settled = result.settlements
+        series[:, t] = result.rewards, settled.q_e, settled.q_fit, obs.soc
+    return tuple(series)
+
+
+def step_record(episode: int, hour: int, actions, result: StepResult) -> dict:
     """JSON-serializable record of one step for trajectory export."""
     return {
         "episode": episode,
         "hour": hour,
-        "actions": [
-            [a.price_raw, a.qty_frac, a.reservation] for a in actions
-        ],
-        "rewards": result.rewards,
+        "actions": np.asarray(actions, dtype=float).tolist(),
+        "rewards": result.rewards.tolist(),
         "ledger": {
             "trades": [
                 [t.buyer_id, t.seller_id, t.quantity, t.buyer_price, t.seller_price]
@@ -521,19 +547,8 @@ def step_record(
             ],
             "operator_surplus": result.ledger.operator_surplus(),
         },
-        "settlements": [
-            {
-                "q_da": s.q_da,
-                "q_b": s.q_b,
-                "q_s": s.q_s,
-                "q_e": s.q_e,
-                "q_fit": s.q_fit,
-                "t_ess": s.t_ess,
-                "profit_grid": s.profit_grid,
-                "profit_p2p": s.profit_p2p,
-            }
-            for s in result.settlements
-        ],
-        "soc": [float(o.soc) for o in result.observations],
+        # each record is fresh, so its field dict can be handed out as is
+        "settlements": [vars(record) for record in result.settlements],
+        "soc": result.observations.soc.tolist(),
         "done": result.done,
     }

@@ -5,7 +5,6 @@ from .nets import CriticNet, DiagGaussian, LSTMCell, Linear, PolicyNet, policy_f
 from .ppo import (
     Adam,
     GradCheckReport,
-    RolloutBuffer,
     Sgd,
     actor_loss,
     compute_gae,
@@ -26,7 +25,6 @@ __all__ = [
     "LSTMCell",
     "Linear",
     "PolicyNet",
-    "RolloutBuffer",
     "Sgd",
     "Tensor",
     "TrainResult",

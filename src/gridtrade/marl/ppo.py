@@ -8,49 +8,13 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeMismatch
 from .autodiff import Tensor, as_tensor, clip, exp, minimum
 from .nets import squash_correction
-
-
-@dataclass
-class RolloutBuffer:
-    """One agent's episode trajectory, stored step by step."""
-
-    obs: list = field(default_factory=list)            # local observation vectors
-    global_obs: list = field(default_factory=list)     # concatenated team vectors
-    presquash: list = field(default_factory=list)      # pre-squash action samples
-    logp: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def add(self, obs, global_obs, presquash, logp, reward, value):
-        self.obs.append(obs)
-        self.global_obs.append(global_obs)
-        self.presquash.append(presquash)
-        self.logp.append(logp)
-        self.rewards.append(reward)
-        self.values.append(value)
-
-    def __len__(self):
-        return len(self.rewards)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        lengths = {len(self.obs), len(self.logp), len(self.rewards), len(self.values)}
-        if len(lengths) != 1:
-            raise ShapeMismatch("buffer sequences have unequal lengths")
-        return {
-            "obs": np.asarray(self.obs, dtype=np.float64),
-            "global_obs": np.asarray(self.global_obs, dtype=np.float64),
-            "presquash": np.asarray(self.presquash, dtype=np.float64),
-            "logp": np.asarray(self.logp, dtype=np.float64),
-            "rewards": np.asarray(self.rewards, dtype=np.float64),
-            "values": np.asarray(self.values, dtype=np.float64),
-        }
 
 
 def compute_gae(

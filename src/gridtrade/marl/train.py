@@ -1,11 +1,12 @@
 """Training loop: centralized-critic recurrent PPO over the trading env.
 
-Each episode is one simulated day. Actions are sampled from per-agent
-recurrent policies on local observations; per-agent critics see the
-concatenation of every agent's observation vector (centralized training,
-decentralized execution). After each episode the buffers are advantage-
-labelled with GAE and replayed for several epochs of clipped-surrogate
-updates, with advantages normalized per minibatch.
+Each episode is one simulated day, run by `env.rollout_day`. Actions are
+sampled from per-agent recurrent policies on local observations (rows of
+the fleet's observation matrix); per-agent critics see the concatenation
+of every agent's observation vector (centralized training, decentralized
+execution). Each episode's samples are stacked into per-agent chunks,
+advantage-labelled with GAE and replayed for several epochs of
+clipped-surrogate updates, with advantages normalized per minibatch.
 
 Everything is deterministic given (env config, hyperparameters, seed):
 network init, action sampling, minibatch shuffling, and the environment
@@ -18,12 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..env import WINDOW_FIELDS, Action, EnvConfig, Observation, TradingEnv, observation_dim
+from ..env import (
+    ACTION_DIM,
+    WINDOW_FIELDS,
+    EnvConfig,
+    Observation,
+    TradingEnv,
+    observation_dim,
+    rollout_day,
+)
 from ..scenario import rng_stream
 from .nets import CriticNet, PolicyNet
 from .ppo import (
     OPTIMIZERS,
-    RolloutBuffer,
     actor_loss,
     compute_gae,
     critic_loss,
@@ -98,36 +106,36 @@ def episode_seed(base: int, episode: int) -> int:
 class ObsNormalizer:
     """Static per-feature scaling derived from the fleet parameters.
 
-    Observation vectors carry physical units (kWh, $/kWh); networks see
+    Observation matrices carry physical units (kWh, $/kWh); networks see
     each feature divided by its natural scale. Deterministic, no running
     statistics.
     """
 
     def __init__(self, config: EnvConfig):
-        self.scales = []
-        p_e_max = float(config.prices.emergency.max())
-        W = config.window_len
-        for params in config.fleet:
-            load_scale = max(params.l_max, 1.0)
-            field_scale = {
-                "q_da": load_scale,
-                "load_est": load_scale,
-                "gen_est": max(params.g_max, 1.0),
-                "p_e": p_e_max,
-            }
-            # an observation holding each feature's scale, laid out by `as_vector`
-            scale = Observation(
-                m=1,
-                soc=max(params.e_max, 1.0),
-                window=np.tile([field_scale[f] for f in WINDOW_FIELDS], (W, 1)),
-                window_mask=np.ones(W),
-                hour_sin=1.0,
-                hour_cos=1.0,
-            )
-            self.scales.append(scale.as_vector())
+        plant = config.plant
+        n, W = config.n_agents, config.window_len
+        load_scale = np.maximum(plant.l_max, 1.0)
+        field_scale = {
+            "q_da": load_scale,
+            "load_est": load_scale,
+            "gen_est": np.maximum(plant.g_max, 1.0),
+            "p_e": np.full(n, float(config.prices.emergency.max())),
+        }
+        window = np.stack([field_scale[f] for f in WINDOW_FIELDS], axis=-1)
+        # a fleet observation holding each feature's scale, laid out by `as_matrix`
+        scale = Observation(
+            m=1,
+            soc=np.maximum(plant.e_max, 1.0),
+            window=np.repeat(window[:, None, :], W, axis=1),
+            window_mask=np.ones(W),
+            hour_sin=1.0,
+            hour_cos=1.0,
+        )
+        self.scales = scale.as_matrix()
 
-    def __call__(self, obs_vector: np.ndarray, agent: int) -> np.ndarray:
-        return obs_vector / self.scales[agent]
+    def __call__(self, obs_matrix: np.ndarray) -> np.ndarray:
+        """(n, obs_dim) observations, each row divided by its agent's scales."""
+        return obs_matrix / self.scales
 
 
 @dataclass
@@ -200,7 +208,6 @@ def train(
     """
     env = TradingEnv(env_config)
     n = env_config.n_agents
-    T = env_config.horizon
     normalizer = ObsNormalizer(env_config)
     if nets is None:
         nets = build_nets(env_config, hyper, seed)
@@ -219,49 +226,36 @@ def train(
     pending: list[list[dict]] = [[] for _ in range(n)]  # per-agent episode chunks
     for ep_off in range(hyper.episodes):
         episode = start_episode + ep_off
-        obs = env.reset(episode_seed(seed, episode))
         hidden = [ag.actor.initial_hidden() for ag in nets]
-        buffers = [RolloutBuffer() for _ in range(n)]
-        ep_rewards, ep_emergency, ep_feedin, ep_storage = [], [], [], []
+        hours = []  # each hour's normalized observations, presquash samples, logp, values
 
-        for t in range(T):
-            norm_obs = [normalizer(obs[i].as_vector(), i) for i in range(n)]
-            global_obs = np.concatenate(norm_obs)
-            actions = []
-            step_samples = []
-            for i in range(n):
-                dist, hidden[i] = nets[i].actor.distribution(norm_obs[i], hidden[i])
-                act_box, u = dist.sample(sample_rngs[i])
-                logp = dist.log_prob(u)
-                value = float(nets[i].critic.value(global_obs)[0])
-                actions.append(Action(*act_box.tolist()))
-                step_samples.append((u, logp, value))
-            result = env.step(actions)
-            for i in range(n):
-                u, logp, value = step_samples[i]
-                buffers[i].add(
-                    obs=norm_obs[i],
-                    global_obs=global_obs,
-                    presquash=u,
-                    logp=logp,
-                    reward=result.rewards[i] * hyper.reward_scale,
-                    value=value,
-                )
-            obs = result.observations
-            ep_rewards.append(result.rewards)
-            ep_emergency.append([s.q_e for s in result.settlements])
-            ep_feedin.append([s.q_fit for s in result.settlements])
-            ep_storage.append([o.soc for o in obs])
+        def act(hour, obs):
+            norm_obs = normalizer(obs.as_matrix())
+            global_obs = norm_obs.reshape(-1)
+            actions, presquash = np.empty((n, ACTION_DIM)), np.empty((n, ACTION_DIM))
+            logp, values = np.empty(n), np.empty(n)
+            for i, ag in enumerate(nets):
+                dist, hidden[i] = ag.actor.distribution(norm_obs[i], hidden[i])
+                actions[i], presquash[i] = dist.sample(sample_rngs[i])
+                logp[i] = dist.log_prob(presquash[i])
+                values[i] = ag.critic.value(global_obs)[0]
+            hours.append((norm_obs, presquash, logp, values))
+            return actions
 
+        series = rollout_day(env, episode_seed(seed, episode), act)
+        norm_obs, presquash, logp, values = (np.stack(x) for x in zip(*hours))  # (T, n, ...)
+        global_obs = norm_obs.reshape(len(hours), -1)
         for i in range(n):
-            pending[i].append(buffers[i].arrays())
+            pending[i].append({
+                "obs": norm_obs[:, i], "global_obs": global_obs, "presquash": presquash[:, i],
+                "logp": logp[:, i], "rewards": series[0][:, i] * hyper.reward_scale,
+                "values": values[:, i],
+            })
         if len(pending[0]) >= hyper.episodes_per_update or ep_off == hyper.episodes - 1:
             _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng)
             pending = [[] for _ in range(n)]
 
-        metrics.append(
-            episode_metrics(episode, ep_rewards, ep_emergency, ep_feedin, ep_storage)
-        )
+        metrics.append(episode_metrics(episode, *series))
         if progress is not None:
             progress(metrics[-1])
 

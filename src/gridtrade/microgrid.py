@@ -133,17 +133,23 @@ def max_bid_quantity(load, gen, buyer, params, dt: float = 1.0):
     `params` is one `MicrogridParams` or a fleet's `FleetParams`, and
     `buyer` is a bool or a bool array choosing the side.
     """
-    net = _pick(buyer, load - gen, gen - load)
-    rate = _pick(buyer, params.t_charge_max, params.t_discharge_max)
+    net = np.where(buyer, load - gen, gen - load)
+    rate = np.where(buyer, params.t_charge_max, params.t_discharge_max)
     return _max(0.0, net + rate * dt)
+
+
+#: the per-agent record's fields, in column order
+RECORD_FIELDS = tuple(f.name for f in fields(SettlementRecord))
 
 
 @dataclass
 class FleetSettlement:
-    """One hour's settlement of a whole fleet: (n,) arrays, one per agent.
+    """One hour's settlement of a whole fleet: (n,) columns, one entry per agent.
 
-    The fields are those of `SettlementRecord` except `profit_p2p`, which
-    comes from the ledger; `energy` is the storage level after the hour.
+    The columns are those of `SettlementRecord`; `profit_p2p` stays zero
+    until the ledger's cash flows are booked, and `energy` is the storage
+    level after the hour. Indexing or iterating yields per-agent
+    `SettlementRecord`s with plain-float fields.
     """
 
     q_da: np.ndarray
@@ -153,24 +159,23 @@ class FleetSettlement:
     q_fit: np.ndarray
     t_ess: np.ndarray
     profit_grid: np.ndarray
+    profit_p2p: np.ndarray
     energy: np.ndarray
 
-    def records(self, profit_p2p: list[float]) -> list[SettlementRecord]:
-        """Per-agent records with plain-float fields."""
-        columns = (self.q_da, self.q_b, self.q_s, self.q_e, self.q_fit, self.t_ess,
-                   self.profit_grid)
-        return [
-            SettlementRecord(*row, profit_p2p=p2p)
-            for *row, p2p in zip(*(c.tolist() for c in columns), profit_p2p)
-        ]
+    @property
+    def reward(self) -> np.ndarray:
+        """Hourly operational benefit per agent: grid profit plus P2P profit."""
+        return self.profit_grid + self.profit_p2p
 
+    def __len__(self) -> int:
+        return len(self.q_da)
 
-def _pick(cond, a, b):
-    """`a` where `cond` holds, else `b`: elementwise for an array `cond`,
-    a plain branch for a scalar one (`np.where` costs microseconds there)."""
-    if isinstance(cond, (bool, np.bool_)):
-        return a if cond else b
-    return np.where(cond, a, b)
+    def __getitem__(self, agent: int) -> SettlementRecord:
+        return SettlementRecord(*(float(getattr(self, name)[agent]) for name in RECORD_FIELDS))
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name in RECORD_FIELDS)
+        return (SettlementRecord(*row) for row in zip(*columns))
 
 
 def _max(a, b):
@@ -179,12 +184,12 @@ def _max(a, b):
     `np.maximum(0.0, -0.0)` is -0.0 where `max(0.0, -0.0)` is 0.0; the
     written trajectories keep the sign of zero, so the rule matters.
     """
-    return _pick(b > a, b, a)
+    return np.where(b > a, b, a)
 
 
 def _min(a, b):
     """Elementwise `min(a, b)` with Python's tie rule: `a` unless `b < a`."""
-    return _pick(b < a, b, a)
+    return np.where(b < a, b, a)
 
 
 def settle_and_balance(
@@ -245,6 +250,7 @@ def settle_and_balance(
         q_fit=q_fit,
         t_ess=(bus_charge - bus_shed - bus_cover) / dt,
         profit_grid=grid_profit(q_fit, q_e, prices),
+        profit_p2p=zero,
         energy=energy,
     )
 

@@ -2,15 +2,19 @@
 
 These provide deterministic (or seed-deterministic) reference agents for
 mechanism comparisons and for scoring the learner against: a rational
-net-position trader, a uniform-random agent, and a null agent.
+net-position trader, a uniform-random agent, and a null agent. Each acts
+for the whole fleet at once: one call maps the fleet `Observation` to the
+(n, 3) joint action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .env import Action, Observation
-from .microgrid import MicrogridParams, max_bid_quantity
+import numpy as np
+
+from .env import Observation
+from .microgrid import FleetParams, _max, _min, max_bid_quantity
 from .scenario import STREAM_ACTION, rng_stream
 
 POLICY_RULES = ("net-position", "random", "zero")
@@ -20,8 +24,7 @@ POLICY_RULES = ("net-position", "random", "zero")
 class PolicyContext:
     """Everything a scripted rule may condition on besides the observation."""
 
-    agent: int
-    params: MicrogridParams
+    plant: FleetParams
     hour: int
     seed: int
     dt: float = 1.0
@@ -50,29 +53,30 @@ class ScriptedPolicy:
         self.rule = rule
         self.margin = margin
 
-    def act(self, obs: Observation, ctx: PolicyContext) -> Action:
+    def act(self, obs: Observation, ctx: PolicyContext) -> np.ndarray:
+        """The fleet's (n, 3) joint action; row i is agent i's action."""
+        n = len(ctx.plant.e_max)
         if self.rule == "zero":
-            return Action(0.0, 0.0, 1.0)
+            return np.tile([0.0, 0.0, 1.0], (n, 1))
         if self.rule == "random":
-            rng = rng_stream(ctx.seed, ctx.agent, STREAM_ACTION, ctx.hour)
-            return Action(
-                float(rng.uniform(-1.0, 1.0)),
-                float(rng.uniform(0.0, 1.0)),
-                float(rng.uniform(0.0, 1.0)),
-            )
+            rngs = (rng_stream(ctx.seed, i, STREAM_ACTION, ctx.hour) for i in range(n))
+            return np.array([
+                [rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)]
+                for rng in rngs
+            ])
         return self._net_position(obs, ctx)
 
-    def _net_position(self, obs: Observation, ctx: PolicyContext) -> Action:
-        q_da, load_est, gen_est, _ = obs.window[ctx.delta_past]
+    def _net_position(self, obs: Observation, ctx: PolicyContext) -> np.ndarray:
+        q_da, load_est, gen_est, _ = obs.window[:, ctx.delta_past].T
         net = gen_est + q_da - load_est
-        p = ctx.params
-        if net < -1e-9:
-            cap = max_bid_quantity(load_est, gen_est, True, p, ctx.dt)
-            headroom = min(max(0.0, p.e_max - obs.soc), p.t_charge_max * ctx.dt)
-            qty_frac = min(1.0, (-net + headroom) / cap) if cap > 0 else 0.0
-            return Action(1.0 - self.margin, qty_frac, 1.0)
-        if net > 1e-9:
-            cap = max_bid_quantity(load_est, gen_est, False, p, ctx.dt)
-            qty_frac = min(1.0, net / cap) if cap > 0 else 0.0
-            return Action(-self.margin, qty_frac, 1.0)
-        return Action(0.0, 0.0, 1.0)
+        p = ctx.plant
+        buyer, seller = net < -1e-9, net > 1e-9
+        cap = max_bid_quantity(load_est, gen_est, buyer, p, ctx.dt)
+        headroom = _min(_max(0.0, p.e_max - obs.soc), p.t_charge_max * ctx.dt)
+        wanted = np.where(buyer, headroom - net, net)
+        tradable = (buyer | seller) & (cap > 0)
+        actions = np.empty((len(net), 3))
+        actions[:, 0] = np.where(buyer, 1.0 - self.margin, np.where(seller, -self.margin, 0.0))
+        actions[:, 1] = _min(1.0, np.divide(wanted, cap, out=np.zeros(len(net)), where=tradable))
+        actions[:, 2] = 1.0
+        return actions

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import EnvConfig, TradingEnv, step_record
+from .env import EnvConfig, TradingEnv, rollout_day, step_record
 from .marl.train import episode_metrics, episode_seed
 from .policies import PolicyContext, ScriptedPolicy
 
@@ -21,37 +21,23 @@ def run_episodes(
     Episode k draws its scenario from a seed derived from (seed, k) only,
     so runs that share the base seed see identical realizations no matter
     which mechanism or policy is being exercised (common random numbers).
+    `on_step`, if given, receives every step's `step_record`.
     """
     env = TradingEnv(config)
     rows = []
     for ep in range(episodes):
         ep_seed = episode_seed(seed, ep)
-        obs = env.reset(ep_seed)
-        rewards, emergency, feedin, storage = [], [], [], []
-        for t in range(config.horizon):
-            actions = [
-                policy.act(
-                    obs[i],
-                    PolicyContext(
-                        agent=i,
-                        params=config.fleet[i],
-                        hour=t,
-                        seed=ep_seed,
-                        dt=config.dt,
-                        delta_past=config.delta_past,
-                    ),
-                )
-                for i in range(config.n_agents)
-            ]
-            result = env.step(actions)
-            if on_step is not None:
-                on_step(step_record(ep, t, actions, result))
-            obs = result.observations
-            rewards.append(result.rewards)
-            emergency.append([s.q_e for s in result.settlements])
-            feedin.append([s.q_fit for s in result.settlements])
-            storage.append([o.soc for o in obs])
-        rows.append(episode_metrics(ep, rewards, emergency, feedin, storage))
+
+        def act(hour, obs):
+            ctx = PolicyContext(plant=config.plant, hour=hour, seed=ep_seed,
+                                dt=config.dt, delta_past=config.delta_past)
+            return policy.act(obs, ctx)
+
+        def record(hour, actions, result):
+            on_step(step_record(ep, hour, actions, result))
+
+        series = rollout_day(env, ep_seed, act, None if on_step is None else record)
+        rows.append(episode_metrics(ep, *series))
     return rows
 
 

@@ -308,8 +308,16 @@ class TestMalformedConfigValues:
         ("simulate", {"seed": True}),
         ("simulate", {"episodes": True}),
         ("train", {"learner": {"optimizer": "rmsprop"}}),
+        ("simulate", {"profiles": 5}),
+        ("simulate", {"prices": 5}),
+        ("simulate", {"window": {"past": 1.5}}),
+        ("simulate", {"mrda": {"rounds": 2.7}}),
+        ("simulate", {"carry_over_soc": "no"}),
+        ("simulate", {"disruption": {"use_reported": "no"}}),
     ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
-            "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop"])
+            "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop",
+            "profiles-5", "prices-5", "window-past-1.5", "mrda-rounds-2.7", "carry-over-soc-no",
+            "use-reported-no"])
     def test_exit_code_2(self, command, raw, tmp_path, capsys):
         argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
         if "episodes" not in raw:

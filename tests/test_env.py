@@ -1,6 +1,7 @@
 """Environment tests: reset/step, market factor, observations, balance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gridtrade.errors import ConfigInvalid, EpisodeFinished, GridTradeError, Inv
 from gridtrade.market import Quotation
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
+    FleetParams,
     MicrogridParams,
     balance_residual,
 )
@@ -31,6 +33,7 @@ from gridtrade.money import to_micro
 from gridtrade.policies import PolicyContext, ScriptedPolicy
 from gridtrade.scenario import (
     HOURS,
+    STREAM_ACTION,
     STREAM_OBS,
     DailyProfile,
     DisruptionConfig,
@@ -109,6 +112,13 @@ def reference_observation(state, agent):
     return m, float(state.energy[agent]), window, mask, math.sin(theta), math.cos(theta)
 
 
+def reference_vector(state, agent):
+    """One agent's observation vector in the per-agent layout: m, soc, the
+    window row-major, the mask, then the clock."""
+    m, soc, window, mask, hour_sin, hour_cos = reference_observation(state, agent)
+    return np.concatenate([[m, soc], window.ravel(), mask, [hour_sin, hour_cos]])
+
+
 def reference_decode(action, state, agent):
     """Per-agent reference: one agent's action clamped with Python's
     min/max and decoded with scalar arithmetic. The one-pass
@@ -132,6 +142,30 @@ def reference_decode(action, state, agent):
     return Quotation(agent, price, qty_frac * cap), reservation
 
 
+def reference_act(rule, margin, window, soc, params, agent, ctx):
+    """Per-agent reference: one agent's scripted action with scalar
+    arithmetic and Python's min/max. The fleet `ScriptedPolicy.act` must
+    equal it row by row, signed zeros included."""
+    if rule == "zero":
+        return (0.0, 0.0, 1.0)
+    if rule == "random":
+        rng = rng_stream(ctx.seed, agent, STREAM_ACTION, ctx.hour)
+        return (float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 1.0)),
+                float(rng.uniform(0.0, 1.0)))
+    q_da, load_est, gen_est, _ = window[ctx.delta_past].tolist()
+    net = gen_est + q_da - load_est
+    if net < -1e-9:
+        cap = max(0.0, load_est - gen_est + params.t_charge_max * ctx.dt)
+        headroom = min(max(0.0, params.e_max - soc), params.t_charge_max * ctx.dt)
+        qty_frac = min(1.0, (-net + headroom) / cap) if cap > 0 else 0.0
+        return (1.0 - margin, qty_frac, 1.0)
+    if net > 1e-9:
+        cap = max(0.0, gen_est - load_est + params.t_discharge_max * ctx.dt)
+        qty_frac = min(1.0, net / cap) if cap > 0 else 0.0
+        return (-margin, qty_frac, 1.0)
+    return (0.0, 0.0, 1.0)
+
+
 def decode_one(action, state):
     """Decode a one-agent joint action; returns (quote, reservation)."""
     quotes, reservation = decode_action([action], state)
@@ -141,7 +175,7 @@ def decode_one(action, state):
 class TestReset:
     def test_reference_fleet_initial_storage(self):
         state, obs = reset(quiet_config(), seed=7)
-        assert len(obs) == 4
+        assert obs.soc.shape == (4,)
         assert [s.energy for s in state.ess] == [0, 2, 0, 20]
 
     def test_same_seed_identical_states(self):
@@ -228,49 +262,55 @@ class TestObservation:
     def test_window_length_default_eight(self):
         cfg = quiet_config()
         state, obs = reset(cfg, seed=0)
-        assert obs[0].window.shape == (8, 4)
+        assert obs.window.shape == (4, 8, 4)
         assert observation_dim(cfg) == 2 + 32 + 8 + 2
 
     def test_hour_zero_pads_history_slot(self):
         state, obs = reset(quiet_config(), seed=0)
-        assert obs[0].window_mask[0] == 0.0
-        assert (obs[0].window[0] == 0).all()
-        assert obs[0].window_mask[1] == 1.0
+        assert obs.window_mask[0] == 0.0
+        assert (obs.window[:, 0] == 0).all()
+        assert obs.window_mask[1] == 1.0
 
     def test_noiseless_window_equals_forecast(self):
         cfg = quiet_config()
         state, obs = reset(cfg, seed=3)
-        o = obs[1]
-        np.testing.assert_allclose(o.window[1, 1], state.load_forecast[1, 0])
-        np.testing.assert_allclose(o.window[1, 2], state.gen_forecast[1, 0])
-        np.testing.assert_allclose(o.window[1, 0], state.q_da[1, 0])
-        np.testing.assert_allclose(o.window[1, 3], cfg.prices.emergency[0])
+        window = obs.window[1]
+        np.testing.assert_allclose(window[1, 1], state.load_forecast[1, 0])
+        np.testing.assert_allclose(window[1, 2], state.gen_forecast[1, 0])
+        np.testing.assert_allclose(window[1, 0], state.q_da[1, 0])
+        np.testing.assert_allclose(window[1, 3], cfg.prices.emergency[0])
 
     def test_noisy_window_deterministic_per_seed(self):
         cfg = EnvConfig(obs_sigma=0.1)
         (state_a, obs_a), (state_b, obs_b) = reset(cfg, seed=5), reset(cfg, seed=5)
         assert not np.shares_memory(state_a.windows, state_b.windows)
-        np.testing.assert_array_equal(obs_a[2].window, obs_b[2].window)
+        np.testing.assert_array_equal(obs_a.window[2], obs_b.window[2])
         np.testing.assert_array_equal(state_a.windows, state_b.windows)
 
     def test_hour_encoding(self):
         state, obs = reset(quiet_config(), seed=0)
-        assert obs[0].hour_sin == pytest.approx(0.0)
-        assert obs[0].hour_cos == pytest.approx(1.0)
+        assert obs.hour_sin == pytest.approx(0.0)
+        assert obs.hour_cos == pytest.approx(1.0)
 
     def test_vector_roundtrip_shape(self):
         cfg = quiet_config()
         _, obs = reset(cfg, seed=0)
-        assert obs[0].as_vector().shape == (observation_dim(cfg),)
-
+        assert obs.as_matrix().shape == (4, observation_dim(cfg))
+        assert obs.as_matrix()[0].shape == (observation_dim(cfg),)
 
     def test_windows_are_read_only_views(self):
         state, obs = reset(quiet_config(), seed=0)
         with pytest.raises(ValueError):
-            obs[0].window[1, 1] = 0.0
+            obs.window[0, 1, 1] = 0.0
         with pytest.raises(ValueError):
-            obs[0].window_mask[0] = 1.0
-        assert np.shares_memory(obs[0].window, state.windows)
+            obs.window_mask[0] = 1.0
+        assert np.shares_memory(obs.window, state.windows)
+
+    def test_soc_is_a_snapshot(self):
+        env = TradingEnv(quiet_config())
+        obs = env.reset(seed=0)
+        obs.soc[:] = -1.0
+        assert env.state.energy.tolist() == [0.0, 2.0, 0.0, 20.0]
 
     def test_batched_observations_match_per_agent_reference(self):
         # 64 agents, two past slots and a 20-hour day: hours near the end
@@ -283,17 +323,20 @@ class TestObservation:
         factors = set()
         for t in range(cfg.horizon + 1):
             assert state.hour == t
-            for i, o in enumerate(obs):
+            matrix = obs.as_matrix()
+            assert matrix.shape == (64, observation_dim(cfg))
+            for i in range(64):
                 m, soc, window, mask, hour_sin, hour_cos = reference_observation(state, i)
-                assert o.m == m and o.soc == soc
-                np.testing.assert_array_equal(o.window, window)
-                np.testing.assert_array_equal(o.window_mask, mask)
-                assert (o.hour_sin, o.hour_cos) == (hour_sin, hour_cos)
-            factors.add(obs[0].m)
+                assert obs.m == m and obs.soc[i] == soc
+                np.testing.assert_array_equal(obs.window[i], window)
+                np.testing.assert_array_equal(obs.window_mask, mask)
+                assert (obs.hour_sin, obs.hour_cos) == (hour_sin, hour_cos)
+                np.testing.assert_array_equal(matrix[i], reference_vector(state, i))
+            factors.add(obs.m)
             if t < cfg.horizon:
                 actions = [Action(*rng.uniform(-1, 1, 3)).clipped() for _ in range(64)]
                 obs = step(state, actions).observations
-        assert obs[0].window_mask.sum() == 0.0  # the finished day's zero window
+        assert obs.window_mask.sum() == 0.0  # the finished day's zero window
         assert len(factors) > 1
 
 
@@ -486,22 +529,30 @@ class TestStep:
         env.reset(seed=4)
         assert [s.energy for s in env.state.ess] == final
 
-    @pytest.mark.parametrize("joint", [
-        [Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
-         Action(0.3, 0.5, float("nan")), Action(0.3, 0.5, 1.0)],
-        [Action(0.3, 0.5, 0.3), Action(0.3, float("nan"), 0.2),
-         Action(0.3, 0.5, 0.4), Action(0.3, 0.5, 1.0)],
-        [Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
-         Action(0.3, 0.5, 0.4), Action(float("inf"), 0.5, 1.0)],
-        [Action(0.3, 0.5, 0.3)] * 3,
-        [Action(0.3, 0.5, 0.3)] * 5,
-    ])
-    def test_rejected_joint_action_changes_no_state(self, joint):
+    @pytest.mark.parametrize("joint,message", [
+        ([Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
+          Action(0.3, 0.5, float("nan")), Action(0.3, 0.5, 1.0)],
+         r"agent 2: non-finite action Action\(price_raw=0.3, qty_frac=0.5, reservation=nan\)"),
+        ([Action(0.3, 0.5, 0.3), Action(0.3, float("nan"), 0.2),
+          Action(0.3, 0.5, 0.4), Action(0.3, 0.5, 1.0)], "agent 1: non-finite action"),
+        ([Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
+          Action(0.3, 0.5, 0.4), Action(float("inf"), 0.5, 1.0)], "agent 3: non-finite action"),
+        ([Action(0.3, 0.5, 0.3)] * 3, "need 4 actions, got 3"),
+        ([Action(0.3, 0.5, 0.3)] * 5, "need 4 actions, got 5"),
+        (np.full((4, 2), 0.5), r"need 3 fields per action, got shape \(4, 2\)"),
+        (np.full((3, 3), 0.5), "need 4 actions, got 3"),
+        (np.full((5, 3), 0.5), "need 4 actions, got 5"),
+        (np.array([[0.3, 0.5, 0.3]] * 2 + [[np.nan] * 3] + [[0.3, 0.5, 0.3]]),
+         "agent 2: non-finite action"),
+        ([[0.3, 0.5, 0.3]] * 3 + [[0.3, 0.5]], r"not an \(n, 3\) array of numbers"),
+        ([[0.3, 0.5, "x"]] * 4, r"not an \(n, 3\) array of numbers"),
+    ], ids=["joint0", "joint1", "joint2", "joint3", "joint4", "array-4x2", "array-3x3", "array-5x3", "array-nan-row", "ragged", "non-numeric"])
+    def test_rejected_joint_action_changes_no_state(self, joint, message):
         env = TradingEnv(quiet_config())
         env.reset(seed=5)
         env.step([Action(0.0, 0.0, 0.7)] * 4)
         before = list(env.state.ess)
-        with pytest.raises(InvalidAction) as info:
+        with pytest.raises(InvalidAction, match=message) as info:
             env.step(joint)
         assert isinstance(info.value, GridTradeError)
         assert isinstance(info.value, ValueError)
@@ -576,33 +627,61 @@ class TestScriptedPolicies:
         cfg = quiet_config()
         state, obs = reset(cfg, seed=0)
         policy = ScriptedPolicy("net-position")
-        hour_actions = []
-        for i in range(4):
-            ctx = PolicyContext(i, cfg.fleet[i], 0, seed=0)
-            a = policy.act(obs[i], ctx)
-            hour_actions.append(a)
-            assert -1 <= a.price_raw <= 1
-            assert 0 <= a.qty_frac <= 1
-            assert a.reservation == 1.0
+        actions = policy.act(obs, PolicyContext(cfg.plant, 0, seed=0))
+        assert actions.shape == (4, 3)
+        assert ((-1 <= actions[:, 0]) & (actions[:, 0] <= 1)).all()
+        assert ((0 <= actions[:, 1]) & (actions[:, 1] <= 1)).all()
+        assert (actions[:, 2] == 1.0).all()
 
     def test_zero_policy_null_quote(self):
         policy = ScriptedPolicy("zero")
-        a = policy.act(None, PolicyContext(0, DEFAULT_FLEET[0], 0, 0))
-        assert a.qty_frac == 0.0
+        a = policy.act(None, PolicyContext(FleetParams.of(DEFAULT_FLEET[:1]), 0, 0))
+        assert a.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_random_policy_deterministic_per_seed(self):
         policy = ScriptedPolicy("random")
-        ctx = PolicyContext(1, DEFAULT_FLEET[1], 5, seed=42)
+        ctx = PolicyContext(FleetParams.of(DEFAULT_FLEET), 5, seed=42)
         a = policy.act(None, ctx)
         b = policy.act(None, ctx)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_random_policy_independent_of_agent_count(self):
         policy = ScriptedPolicy("random")
-        a = policy.act(None, PolicyContext(0, DEFAULT_FLEET[0], 3, seed=9))
-        _ = policy.act(None, PolicyContext(5, DEFAULT_FLEET[1], 3, seed=9))
-        b = policy.act(None, PolicyContext(0, DEFAULT_FLEET[0], 3, seed=9))
-        assert a == b
+        one = policy.act(None, PolicyContext(FleetParams.of(DEFAULT_FLEET[:1]), 3, seed=9))
+        six = policy.act(None, PolicyContext(FleetParams.of(DEFAULT_FLEET[:2] * 3), 3, seed=9))
+        np.testing.assert_array_equal(one[0], six[0])
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("rule", ["net-position", "random", "zero"])
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_matches_per_agent_reference(self, n, rule, margin):
+        # a seeded day in which rows are planted each hour: net exactly 0,
+        # net within +-1e-9 of 0 on either side, and a seller with zero cap
+        fleet = tuple(DEFAULT_FLEET[i % 4] for i in range(n))
+        cfg = EnvConfig(fleet=fleet, m_lower=-7.5 * n, m_upper=-5.0 * n)
+        policy = ScriptedPolicy(rule, margin)
+        state, obs = reset(cfg, seed=n)
+        planted = set()
+        for t in range(cfg.horizon):
+            window = obs.window.copy()
+            for i in range(n):
+                kind = (i + t) % 5
+                rate = fleet[i].t_discharge_max
+                slot = {1: (0.0, 3.0, 3.0), 2: (0.0, 3.0, 3.0 + 5e-10),
+                        3: (0.0, 3.0 + 5e-10, 3.0), 4: (rate + 6.0, rate + 1.0, 0.0)}
+                if kind in slot:
+                    window[i, cfg.delta_past, :3] = slot[kind]
+                    planted.add(kind)
+            obs = replace(obs, window=window)
+            ctx = PolicyContext(cfg.plant, t, seed=n, dt=cfg.dt, delta_past=cfg.delta_past)
+            actions = policy.act(obs, ctx)
+            assert actions.shape == (n, 3)
+            for i in range(n):
+                ref = reference_act(rule, margin, obs.window[i], float(obs.soc[i]),
+                                    fleet[i], i, ctx)
+                assert list(map(repr, actions[i].tolist())) == list(map(repr, ref))
+            obs = step(state, actions).observations
+        assert planted == {1, 2, 3, 4}
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
@@ -629,11 +708,7 @@ class TestScriptedPolicies:
             policy = ScriptedPolicy(rule)
             total = 0.0
             for t in range(24):
-                actions = [
-                    policy.act(obs[i], PolicyContext(i, fleet[i], t, seed=3))
-                    for i in range(2)
-                ]
-                result = env.step(actions)
+                result = env.step(policy.act(obs, PolicyContext(cfg.plant, t, seed=3)))
                 obs = result.observations
                 total += sum(s.q_e for s in result.settlements)
             return total

@@ -19,7 +19,6 @@ from gridtrade.marl.nets import (
 )
 from gridtrade.marl.ppo import (
     Adam,
-    RolloutBuffer,
     actor_loss,
     compute_gae,
     critic_loss,
@@ -429,24 +428,6 @@ class TestLstmSeq:
         assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
         for got, want in zip(fused, ref):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-class TestRolloutBuffer:
-    def test_equal_length_enforced(self):
-        buf = RolloutBuffer()
-        buf.add(np.zeros(3), np.zeros(6), np.zeros(3), 0.0, 1.0, 0.5)
-        buf.rewards.append(2.0)  # corrupt
-        with pytest.raises(ShapeMismatch):
-            buf.arrays()
-
-    def test_roundtrip(self):
-        buf = RolloutBuffer()
-        for t in range(5):
-            buf.add(np.full(3, t), np.full(6, t), np.zeros(3), -0.1 * t, float(t), 0.0)
-        assert len(buf) == 5
-        data = buf.arrays()
-        assert data["obs"].shape == (5, 3)
-        assert data["rewards"].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 class TestEntropyCoefficientDirection:

@@ -77,7 +77,7 @@ def settle_one(load, gen, q_da, q_b, q_s, state, prices, dt, params):
         reservation=np.array([float(state.reservation)]),
         prices=prices, dt=dt, plant=FleetParams.of([params]),
     )
-    record = fleet.records([0.0])[0]
+    record = fleet[0]
     return record, replace(state, energy=fleet.energy[0].item())
 
 
@@ -287,10 +287,11 @@ class TestVectorSettlementOracle:
             reservation=np.array([r[5].reservation for r in rows]),
             prices=PRICES, dt=dt, plant=FleetParams.of([r[6] for r in rows]),
         )
-        records = fleet.records([0.0] * len(rows))
+        records = list(fleet)
+        assert len(records) == len(fleet) == len(rows)
         for i, (load, gen, q_da, q_b, q_s, state, params) in enumerate(rows):
             rec, nxt = reference_settle(load, gen, q_da, q_b, q_s, state, PRICES, dt, params)
-            assert repr(records[i]) == repr(rec)
+            assert repr(records[i]) == repr(fleet[i]) == repr(rec)
             assert repr(fleet.energy[i].item()) == repr(nxt.energy)
 
     def test_oracle_draws_reach_the_corner_cases(self):

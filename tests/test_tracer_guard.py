@@ -5,6 +5,7 @@ Renaming or removing one of them breaks the benchmark's traced run; this
 test makes that a tier-1 failure as well.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -54,3 +55,29 @@ def test_install_patches_and_undo_restores_everything(tracing):
     for label in ("env.reset", "env.step", "env.build_observation", "env.decode_action",
                   "env.compute_market_factor", "microgrid.settle_and_balance"):
         assert labels[label]["calls"] >= 1, label
+
+
+def test_wrapped_names_are_still_called(tracing, tmp_path):
+    # a refactor that keeps a wrapped name but stops calling it leaves its span empty
+    from gridtrade import runner
+    from gridtrade.policies import ScriptedPolicy
+    from gridtrade.reporting import TrajectoryWriter
+
+    # `gridtrade.marl` re-exports the `train` function under the submodule's name
+    train_mod = importlib.import_module("gridtrade.marl.train")
+    hyper = train_mod.Hyperparams(episodes=1, lstm_hidden=4, actor_hidden=(8, 8),
+                                  critic_hidden=(8, 8), epochs=1)
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        with TrajectoryWriter(tmp_path / "trajectory.jsonl") as sink:
+            runner.run_episodes(EnvConfig(), ScriptedPolicy("random"), 1, 3, on_step=sink)
+        train_mod.train(EnvConfig(), hyper, seed=3)
+        labels = tracer.summary()["labels"]
+    finally:
+        patches.undo()
+
+    for label in ("policies.act", "policies.context", "env.step_record", "marl.episode_seed",
+                  "marl.episode_metrics", "marl.rollout.distribution", "marl.rollout.value",
+                  "marl.update", "scenario.rng_stream", "reporting.trajectory_write"):
+        assert labels.get(label, {}).get("calls", 0) >= 1, label
