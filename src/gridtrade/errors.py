@@ -53,10 +53,6 @@ class ShapeMismatch(GridTradeError):
     """Parameter and gradient shapes do not line up."""
 
 
-class NonFiniteInput(GridTradeError):
-    """A network received NaN or infinite input."""
-
-
 # --- cli ------------------------------------------------------------------
 
 class ChecksumMismatch(GridTradeError):

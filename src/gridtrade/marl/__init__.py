@@ -1,7 +1,7 @@
 """Desk-scale recurrent multi-agent PPO with centralized critics."""
 
 from .autodiff import Tensor
-from .nets import CriticNet, DiagGaussian, LSTMCell, Linear, PolicyNet, policy_forward
+from .nets import CriticNet, DiagGaussian, LSTMCell, Linear, PolicyNet
 from .ppo import (
     Adam,
     GradCheckReport,
@@ -10,7 +10,6 @@ from .ppo import (
     compute_gae,
     critic_loss,
     gradient_check,
-    importance_ratio,
     normalize_advantages,
     sgd_update,
 )
@@ -32,9 +31,7 @@ __all__ = [
     "compute_gae",
     "critic_loss",
     "gradient_check",
-    "importance_ratio",
     "normalize_advantages",
-    "policy_forward",
     "sgd_update",
     "train",
 ]

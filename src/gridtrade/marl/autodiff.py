@@ -5,9 +5,10 @@ backward() replays the tape in reverse topological order accumulating
 gradients into every reachable parameter. The op set is what the
 recurrent policy, the value network, and the PPO losses need; the
 recurrent layer is one fused op (`lstm_seq`) with a hand-written backward,
-and the elementwise `sigmoid`/`tanh`/`concat` ops compose the per-step
-reference it is tested against. Broadcasting follows numpy semantics, with
-gradients summed back over broadcast axes.
+whose forward loop steps the same numpy `lstm_cell` as the rollout; the
+elementwise `sigmoid`/`tanh`/`concat` ops compose the per-step reference it
+is tested against. Broadcasting follows numpy semantics, with gradients
+summed back over broadcast axes.
 """
 
 from __future__ import annotations
@@ -237,6 +238,24 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 # --- fused recurrent layer --------------------------------------------------
 
+def lstm_cell(z: np.ndarray, c: np.ndarray):
+    """One LSTM step from gate pre-activations z (..., 4H) and cell state c.
+
+    Gate order is i, f, g, o. Returns (activated gates, new cell state,
+    its tanh, new hidden state); the rollout's single steps and
+    `lstm_seq`'s forward loop both go through here.
+    """
+    H = c.shape[-1]
+    act = np.empty_like(z)
+    act[..., : 2 * H] = _sigmoid(z[..., : 2 * H])
+    act[..., 2 * H : 3 * H] = np.tanh(z[..., 2 * H : 3 * H])
+    act[..., 3 * H :] = _sigmoid(z[..., 3 * H :])
+    i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
+    c = f * c + i * g
+    tanh_c = np.tanh(c)
+    return act, c, tanh_c, o * tanh_c
+
+
 def lstm_seq(x, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     """Zero-initialised single-layer LSTM over a batch of whole sequences.
 
@@ -259,16 +278,8 @@ def lstm_seq(x, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
     h = np.zeros((E, H))
     c = np.zeros((E, H))
     for t in range(T):
-        z = xw[:, t] + h @ wh + b.data
-        act = gates[:, t]
-        act[:, : 2 * H] = _sigmoid(z[:, : 2 * H])
-        act[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
-        act[:, 3 * H :] = _sigmoid(z[:, 3 * H :])
-        i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
-        c = f * c + i * g
+        gates[:, t], c, tanh_c[:, t], h = lstm_cell(xw[:, t] + h @ wh + b.data, c)
         cells[:, t] = c
-        tanh_c[:, t] = np.tanh(c)
-        h = o * tanh_c[:, t]
         hs[:, t] = h
 
     def back(dhs):

@@ -5,9 +5,10 @@ two-layer ReLU trunk, and outputs a diagonal Gaussian squashed onto the
 action box by tanh. The critic is a plain feedforward value network over
 the concatenation of all agents' observation vectors.
 
-Every network carries a no-grad numpy fast path (`act`, `value`) for
-rollouts and a taped path (`forward_seq`, `forward`) for updates; both read
-the same parameter arrays.
+Every network carries a no-grad numpy fast path (`distribution`, `value`)
+for rollouts and a taped path (`forward_seq`, `forward`) for updates; both
+read the same parameter arrays, and both actor paths step the LSTM through
+`autodiff.lstm_cell`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import math
 import numpy as np
 
 from ..env import ACTION_HIGH, ACTION_LOW
-from ..errors import NonFiniteInput
-from .autodiff import Tensor, clip, lstm_seq, relu
+from .autodiff import Tensor, clip, lstm_cell, lstm_seq, relu
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -57,16 +57,9 @@ class DiagGaussian:
         u = self.mean + np.exp(self.log_std) * rng.standard_normal(self.mean.shape)
         return squash(u), u
 
-    def mode(self) -> np.ndarray:
-        return squash(self.mean)
-
     def log_prob(self, u: np.ndarray) -> float:
         """Log density of the squashed action identified by its pre-squash value."""
         return float(gaussian_logp(u, self.mean, self.log_std) - squash_correction(u))
-
-    def entropy(self) -> float:
-        """Closed-form entropy of the pre-squash Gaussian."""
-        return float((0.5 * (1.0 + math.log(2.0 * math.pi)) + self.log_std).sum())
 
 
 class Linear:
@@ -90,7 +83,8 @@ class Linear:
 
 
 class LSTMCell:
-    """Single-layer LSTM; gate order i, f, g, o with +1 forget-gate bias."""
+    """Single-layer LSTM parameters; gate order i, f, g, o with +1 forget-gate
+    bias. The step itself is `autodiff.lstm_cell`."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         self.hidden = hidden
@@ -104,17 +98,6 @@ class LSTMCell:
 
     def params(self):
         return [self.Wx, self.Wh, self.b]
-
-    def step_fast(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        H = self.hidden
-        z = x @ self.Wx.data + h @ self.Wh.data + self.b.data
-        i = 1.0 / (1.0 + np.exp(-z[:, 0:H]))
-        f = 1.0 / (1.0 + np.exp(-z[:, H : 2 * H]))
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * H : 4 * H]))
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new
 
 
 class PolicyNet:
@@ -176,7 +159,9 @@ class PolicyNet:
         self, obs_vec: np.ndarray, hidden: tuple[np.ndarray, np.ndarray]
     ) -> tuple[DiagGaussian, tuple[np.ndarray, np.ndarray]]:
         """No-grad single-step forward used during rollouts."""
-        h, c = self.lstm.step_fast(obs_vec.reshape(1, -1), *hidden)
+        lstm, (h, c) = self.lstm, hidden
+        z = obs_vec.reshape(1, -1) @ lstm.Wx.data + h @ lstm.Wh.data + lstm.b.data
+        _, c, _, h = lstm_cell(z, c)
         z = np.maximum(self.fc1.fast(h), 0.0)
         z = np.maximum(self.fc2.fast(z), 0.0)
         mean = self.mean_head.fast(z)[0]
@@ -212,36 +197,16 @@ class CriticNet:
         return (z @ self.head.W.data + self.head.b.data)[:, 0]
 
 
-def policy_forward(
-    net: PolicyNet,
-    obs_seq: np.ndarray,
-    hidden: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[DiagGaussian, tuple[np.ndarray, np.ndarray]]:
-    """Run the policy over an observation sequence without building a tape.
-
-    Returns the action distribution at the final step plus the LSTM state.
-    """
-    obs_seq = np.atleast_2d(np.asarray(obs_seq, dtype=np.float64))
-    if obs_seq.size == 0:
-        raise ValueError("obs_seq must be non-empty")
-    if not np.isfinite(obs_seq).all():
-        raise NonFiniteInput("policy received NaN or infinite observation")
-    state = hidden if hidden is not None else net.initial_hidden()
-    dist = None
-    for t in range(obs_seq.shape[0]):
-        dist, state = net.distribution(obs_seq[t], state)
-    return dist, state
-
-
 def flatten_params(params: list[Tensor]) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in params])
 
 
 def load_flat_params(params: list[Tensor], flat: np.ndarray) -> None:
+    size = sum(p.data.size for p in params)
+    if flat.size != size:
+        raise ValueError(f"flat parameter vector has {flat.size} values, the net has {size}")
     offset = 0
     for p in params:
         n = p.data.size
         p.data = flat[offset : offset + n].reshape(p.data.shape).copy()
         offset += n
-    if offset != flat.size:
-        raise ValueError("flat parameter vector has wrong length")

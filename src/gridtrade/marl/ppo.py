@@ -26,8 +26,10 @@ def compute_gae(
 ) -> np.ndarray:
     """Exponentially weighted advantage estimates by backward recursion.
 
-    `values` has one entry per reward; the bootstrap is the value of the
-    state after the final transition (zero for terminated episodes).
+    Time runs along axis 0; any trailing axes (episodes, agents) are
+    independent columns, each with its own recursion. `values` has one
+    entry per reward; the bootstrap is the value of the state after the
+    final transition (zero for terminated episodes), shared by every column.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -35,7 +37,7 @@ def compute_gae(
         raise ShapeMismatch(
             f"rewards {rewards.shape} and values {values.shape} must match"
         )
-    ext = np.append(values, bootstrap_value)
+    ext = np.concatenate([values, np.broadcast_to(bootstrap_value, (1, *values.shape[1:]))])
     adv = np.zeros_like(rewards)
     acc = 0.0
     for t in range(len(rewards) - 1, -1, -1):
@@ -43,11 +45,6 @@ def compute_gae(
         acc = delta + gamma * lam * acc
         adv[t] = acc
     return adv
-
-
-def importance_ratio(logp_new, logp_old):
-    """exp(logp_new - logp_old); stays positive for any finite inputs."""
-    return np.exp(np.asarray(logp_new) - np.asarray(logp_old))
 
 
 def normalize_advantages(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:

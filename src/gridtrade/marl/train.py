@@ -4,9 +4,10 @@ Each episode is one simulated day, run by `env.rollout_day`. Actions are
 sampled from per-agent recurrent policies on local observations (rows of
 the fleet's observation matrix); per-agent critics see the concatenation
 of every agent's observation vector (centralized training, decentralized
-execution). Each episode's samples are stacked into per-agent chunks,
-advantage-labelled with GAE and replayed for several epochs of
-clipped-surrogate updates, with advantages normalized per minibatch.
+execution). Each episode is buffered as (T, n, ...) fleet arrays; an update
+round stacks its episodes once, advantage-labels every (episode, agent)
+column with GAE and replays them for several epochs of clipped-surrogate
+updates, with advantages normalized per minibatch.
 
 Everything is deterministic given (env config, hyperparameters, seed):
 network init, action sampling, minibatch shuffling, and the environment
@@ -76,8 +77,10 @@ class Hyperparams:
             raise ValueError("gamma and lam must lie in (0, 1)")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be positive")
-        if self.epochs < 1 or self.minibatch_size < 1 or self.episodes < 0:
-            raise ValueError("epochs/minibatch_size/episodes out of range")
+        if self.epochs < 1 or self.episodes < 0:
+            raise ValueError("epochs/episodes out of range")
+        if self.minibatch_size < 2:
+            raise ValueError("minibatch_size must be >= 2 (advantages are normalized per batch)")
         if self.episodes_per_update < 1:
             raise ValueError("episodes_per_update must be >= 1")
         if self.optimizer not in OPTIMIZERS:
@@ -148,7 +151,6 @@ class AgentNets:
 class TrainResult:
     nets: list[AgentNets]
     metrics: list[dict]
-    hyper: Hyperparams
     episodes_done: int
 
 
@@ -198,7 +200,6 @@ def train(
     seed: int,
     nets: list[AgentNets] | None = None,
     start_episode: int = 0,
-    progress=None,
 ) -> TrainResult:
     """Run the full training loop and return nets plus per-episode metrics.
 
@@ -223,7 +224,7 @@ def train(
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 
     metrics: list[dict] = []
-    pending: list[list[dict]] = [[] for _ in range(n)]  # per-agent episode chunks
+    pending: list[tuple] = []  # each episode's (T, n, ...) fleet arrays
     for ep_off in range(hyper.episodes):
         episode = start_episode + ep_off
         hidden = [ag.actor.initial_hidden() for ag in nets]
@@ -243,55 +244,39 @@ def train(
             return actions
 
         series = rollout_day(env, episode_seed(seed, episode), act)
-        norm_obs, presquash, logp, values = (np.stack(x) for x in zip(*hours))  # (T, n, ...)
-        global_obs = norm_obs.reshape(len(hours), -1)
-        for i in range(n):
-            pending[i].append({
-                "obs": norm_obs[:, i], "global_obs": global_obs, "presquash": presquash[:, i],
-                "logp": logp[:, i], "rewards": series[0][:, i] * hyper.reward_scale,
-                "values": values[:, i],
-            })
-        if len(pending[0]) >= hyper.episodes_per_update or ep_off == hyper.episodes - 1:
+        stacked = (np.stack(x) for x in zip(*hours))  # (T, n, ...)
+        pending.append((*stacked, series[0] * hyper.reward_scale))
+        if len(pending) >= hyper.episodes_per_update or ep_off == hyper.episodes - 1:
             _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng)
-            pending = [[] for _ in range(n)]
+            pending = []
 
         metrics.append(episode_metrics(episode, *series))
-        if progress is not None:
-            progress(metrics[-1])
 
-    return TrainResult(
-        nets=nets,
-        metrics=metrics,
-        hyper=hyper,
-        episodes_done=start_episode + hyper.episodes,
-    )
+    return TrainResult(nets=nets, metrics=metrics, episodes_done=start_episode + hyper.episodes)
 
 
 def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
-    """One PPO update round over the buffered episode chunks.
+    """One PPO update round over the buffered episodes.
 
-    Each agent's chunks are stacked once as (episodes, T, ...) arrays. The
-    recurrent actor re-runs over the whole stack in one batched pass (hidden
-    state resets at episode boundaries); minibatches index into the steps
-    flattened in episode order.
+    `pending` holds each episode's (normalized obs, presquash, logp, values,
+    scaled rewards) fleet arrays, stacked here once into (E, T, n, ...).
+    GAE labels every (episode, agent) column in one call. Agent i trains on
+    the `[:, :, i]` slices: its recurrent actor re-runs over all E episodes
+    in one batched pass (hidden state resets at episode boundaries), and
+    every critic reads the same (E*T, n*obs_dim) global observations.
+    Minibatches index into the steps flattened in episode order.
     """
-    n = len(nets)
-    advantages, targets, logp_old, presquash, global_obs, obs = [], [], [], [], [], []
-    for i in range(n):
-        chunks = pending[i]
-        adv = np.stack([
-            compute_gae(c["rewards"], c["values"], 0.0, hyper.gamma, hyper.lam)
-            for c in chunks
-        ])
-        values = np.stack([c["values"] for c in chunks])
-        advantages.append(adv.ravel())
-        targets.append((adv + values).ravel())
-        logp_old.append(np.concatenate([c["logp"] for c in chunks]))
-        global_obs.append(np.concatenate([c["global_obs"] for c in chunks]))
-        presquash.append(np.stack([c["presquash"] for c in chunks]))
-        obs.append(np.stack([c["obs"] for c in chunks]))
+    obs, presquash, logp_old, values, rewards = (np.stack(x) for x in zip(*pending))
+    E, T, n = logp_old.shape
+    adv = compute_gae(
+        rewards.swapaxes(0, 1), values.swapaxes(0, 1), 0.0, hyper.gamma, hyper.lam
+    ).swapaxes(0, 1)
+    # (E*T, n) per-step columns, and the centralized critics' shared input
+    targets = (adv + values).reshape(E * T, n)
+    adv, logp_old = adv.reshape(E * T, n), logp_old.reshape(E * T, n)
+    global_obs = obs.reshape(E * T, -1)
 
-    total = len(advantages[0])
+    total = E * T
     mb = min(hyper.minibatch_size, total)
     for _ in range(hyper.epochs):
         order = shuffle_rng.permutation(total)
@@ -299,13 +284,13 @@ def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
             idx = order[lo : lo + mb]
             if idx.size < 2:
                 continue  # a singleton batch cannot be advantage-normalized
-            for i in range(n):
-                means, log_std = nets[i].actor.forward_seq(obs[i])
-                logp, entropy = policy_logp_and_entropy(means, log_std, presquash[i])
+            for i, ag in enumerate(nets):
+                means, log_std = ag.actor.forward_seq(obs[:, :, i])
+                logp, entropy = policy_logp_and_entropy(means, log_std, presquash[:, :, i])
                 loss = actor_loss(
                     logp.reshape(-1)[idx],
-                    logp_old[i][idx],
-                    normalize_advantages(advantages[i][idx]),
+                    logp_old[idx, i],
+                    normalize_advantages(adv[idx, i]),
                     entropy,
                     hyper.clip_eps,
                     hyper.entropy_coef,
@@ -314,8 +299,7 @@ def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
                 loss.backward()
                 actor_opts[i].step()
 
-                values = nets[i].critic.forward(global_obs[i][idx])
-                vloss = critic_loss(values, targets[i][idx])
+                vloss = critic_loss(ag.critic.forward(global_obs[idx]), targets[idx, i])
                 critic_opts[i].zero_grad()
                 vloss.backward()
                 critic_opts[i].step()

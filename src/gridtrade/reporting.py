@@ -208,9 +208,14 @@ def load_checkpoint(
         raise ChecksumMismatch(
             f"checkpoint has {len(payload['agents'])} agents, config has {len(nets)}"
         )
-    for ag, blob in zip(nets, payload["agents"]):
-        load_flat_params(ag.actor.params(), np.asarray(blob["actor"], dtype=np.float64))
-        load_flat_params(ag.critic.params(), np.asarray(blob["critic"], dtype=np.float64))
+    for i, (ag, blob) in enumerate(zip(nets, payload["agents"])):
+        for part, net in (("actor", ag.actor), ("critic", ag.critic)):
+            try:
+                load_flat_params(net.params(), np.asarray(blob[part], dtype=np.float64))
+            except ValueError as e:
+                raise ChecksumMismatch(
+                    f"checkpoint agent {i} {part} does not fit the configured nets: {e}"
+                ) from e
     return nets, int(payload["episode"])
 
 

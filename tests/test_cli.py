@@ -121,6 +121,19 @@ class TestTrain:
         rows = read_metrics_csv(out / "metrics.csv")
         assert [r["episode"] for r in rows] == [0, 1, 2, 3, 4]
 
+    def test_resume_with_nets_that_do_not_fit_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        assert main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                     "--episodes", "1", "--seed", "2", "--out", str(out)]) == 0
+        # a longer observation window changes obs_dim; sizes and agent count stay
+        cfg = write_cfg(tmp_path, window={"past": 1, "future": 3}, **FAST_LEARNER)
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(out / "checkpoint.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "agent 0" in err and "actor" in err
+
     def test_corrupted_checkpoint_detected(self, tmp_path):
         cfg_env = EnvConfig()
         hyper = Hyperparams(lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
@@ -314,10 +327,11 @@ class TestMalformedConfigValues:
         ("simulate", {"mrda": {"rounds": 2.7}}),
         ("simulate", {"carry_over_soc": "no"}),
         ("simulate", {"disruption": {"use_reported": "no"}}),
+        ("train", {"learner": {"minibatch_size": 1}}),
     ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
             "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop",
             "profiles-5", "prices-5", "window-past-1.5", "mrda-rounds-2.7", "carry-over-soc-no",
-            "use-reported-no"])
+            "use-reported-no", "minibatch-size-1"])
     def test_exit_code_2(self, command, raw, tmp_path, capsys):
         argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
         if "episodes" not in raw:

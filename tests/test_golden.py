@@ -50,6 +50,18 @@ TRAIN = {
     "metrics.csv": "7da838994c0fa7c333fb907a36e6176d7ae5b98d43c78771312e662a4af3ff04",
     "checkpoint.json": "c0b425277df2ca97e453457a7f5dbddf39e3fa35cdf25e6d4a190388f0cae2a9",
 }
+# 10 episodes in update rounds of 4, 4 and a partial 2, with small nets.
+TRAIN_ROUNDS = {
+    "metrics.csv": "59664148ebd2882b5ffccc399c7a2427740db77c285bc154dfbb30c55f3b1125",
+    "checkpoint.json": "c13c98e664142880d4dc452dc8ac685d2e7f68986a9a41ded24d3668b66b689e",
+}
+TRAIN_ROUNDS_LEARNER = {
+    "episodes_per_update": 4,
+    "lstm_hidden": 4,
+    "actor_hidden": [8, 8],
+    "critic_hidden": [8, 8],
+    "epochs": 2,
+}
 # 64 microgrids: the reference four cycled, market-factor thresholds scaled
 # by 16, one episode; these exercise the n=64 paths of the environment.
 FLEET64 = {
@@ -142,6 +154,15 @@ def test_compare_digest(tmp_path):
 def test_train_digests(tmp_path):
     assert main(["train", "--episodes", "2", "--seed", "1", "--out", str(tmp_path)]) == 0
     assert file_digests(tmp_path, TRAIN) == TRAIN
+
+
+def test_train_multi_round_digests(tmp_path):
+    config = tmp_path / "rounds.yaml"
+    config.write_text(yaml.safe_dump({"learner": TRAIN_ROUNDS_LEARNER}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--episodes", "10", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert file_digests(out, TRAIN_ROUNDS) == TRAIN_ROUNDS
 
 
 def test_large_book_trades_digest():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gridtrade.errors import NonFiniteInput, ShapeMismatch
+from gridtrade.errors import ShapeMismatch
 from gridtrade.marl.autodiff import Tensor, clip, concat, lstm_seq, relu, sigmoid, tanh
 from gridtrade.marl.nets import (
     LOG_STD_MAX,
@@ -13,7 +13,6 @@ from gridtrade.marl.nets import (
     CriticNet,
     DiagGaussian,
     PolicyNet,
-    policy_forward,
     squash,
     squash_correction,
 )
@@ -23,7 +22,6 @@ from gridtrade.marl.ppo import (
     compute_gae,
     critic_loss,
     gradient_check,
-    importance_ratio,
     normalize_advantages,
     policy_logp_and_entropy,
     sgd_update,
@@ -79,18 +77,17 @@ class TestGae:
         with pytest.raises(ShapeMismatch):
             compute_gae([1.0, 2.0], [0.0], 0.0, 0.9, 0.9)
 
-
-class TestImportanceRatio:
-    def test_equal_logps(self):
-        assert importance_ratio(0.3, 0.3) == pytest.approx(1.0)
-
-    def test_log_two(self):
-        assert importance_ratio(math.log(2.0), 0.0) == pytest.approx(2.0)
-
-    def test_strictly_positive(self):
-        rng = np.random.default_rng(0)
-        ratios = importance_ratio(rng.normal(size=100), rng.normal(size=100))
-        assert (ratios > 0).all()
+    def test_trailing_columns_equal_per_column_calls(self):
+        rng = np.random.default_rng(6)
+        T, E, n = 24, 3, 4
+        rewards = rng.normal(size=(T, E, n))
+        values = rng.normal(size=(T, E, n))
+        adv = compute_gae(rewards, values, 0.0, 0.95, 0.9)
+        assert adv.shape == (T, E, n)
+        for e in range(E):
+            for i in range(n):
+                column = compute_gae(rewards[:, e, i], values[:, e, i], 0.0, 0.95, 0.9)
+                np.testing.assert_array_equal(adv[:, e, i], column)
 
 
 def loss_value(rho, adv, eps, c=0.0):
@@ -235,9 +232,19 @@ class TestSquashedGaussian:
 
     def test_entropy_closed_form(self):
         log_std = np.array([-0.5, 0.0, 0.3])
-        dist = DiagGaussian(np.zeros(3), log_std)
+        _, entropy = policy_logp_and_entropy(
+            Tensor(np.zeros((1, 3))), Tensor(log_std), np.zeros((1, 3))
+        )
         expected = (0.5 * (1 + math.log(2 * math.pi)) * 3) + log_std.sum()
-        assert dist.entropy() == pytest.approx(expected)
+        assert float(entropy.data) == pytest.approx(expected)
+
+
+def run_policy(net, obs_seq, hidden=None):
+    """Step the rollout path over a sequence; final distribution and state."""
+    hidden = net.initial_hidden() if hidden is None else hidden
+    for obs in obs_seq:
+        dist, hidden = net.distribution(obs, hidden)
+    return dist, hidden
 
 
 class TestPolicyNet:
@@ -248,24 +255,17 @@ class TestPolicyNet:
         net = PolicyNet(obs_dim=6, lstm_hidden=4, trunk_hidden=(8, 8))
         for p in net.params():
             p.data = np.zeros_like(p.data)
-        dist, _ = policy_forward(net, np.zeros((1, 6)))
-        np.testing.assert_allclose(dist.mode(), [0.0, 0.5, 0.5])
+        dist, _ = net.distribution(np.zeros(6), net.initial_hidden())
+        np.testing.assert_allclose(squash(dist.mean), [0.0, 0.5, 0.5])
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
         net = PolicyNet(obs_dim=10, lstm_hidden=4, trunk_hidden=(8, 8),
                         rng=np.random.default_rng(1))
         seq = self.obs(rng)
-        d1, _ = policy_forward(net, seq)
-        d2, _ = policy_forward(net, seq)
+        d1, _ = run_policy(net, seq)
+        d2, _ = run_policy(net, seq)
         np.testing.assert_array_equal(d1.mean, d2.mean)
-
-    def test_nonfinite_input_rejected(self):
-        net = PolicyNet(obs_dim=4, lstm_hidden=4, trunk_hidden=(8, 8))
-        bad = np.zeros((2, 4))
-        bad[1, 2] = np.nan
-        with pytest.raises(NonFiniteInput):
-            policy_forward(net, bad)
 
     def test_taped_and_fast_paths_agree(self):
         rng = np.random.default_rng(2)
@@ -282,9 +282,9 @@ class TestPolicyNet:
         net = PolicyNet(obs_dim=3, lstm_hidden=4, trunk_hidden=(6, 6),
                         rng=np.random.default_rng(9))
         one = np.ones(3)
-        d_fresh, _ = policy_forward(net, one.reshape(1, 3))
-        _, hidden = policy_forward(net, np.full((4, 3), -1.0))
-        d_after, _ = policy_forward(net, one.reshape(1, 3), hidden)
+        d_fresh, _ = run_policy(net, one.reshape(1, 3))
+        _, hidden = run_policy(net, np.full((4, 3), -1.0))
+        d_after, _ = run_policy(net, one.reshape(1, 3), hidden)
         assert not np.allclose(d_fresh.mean, d_after.mean)
 
     def test_critic_batch_equivariance(self):

@@ -79,5 +79,7 @@ def test_wrapped_names_are_still_called(tracing, tmp_path):
 
     for label in ("policies.act", "policies.context", "env.step_record", "marl.episode_seed",
                   "marl.episode_metrics", "marl.rollout.distribution", "marl.rollout.value",
-                  "marl.update", "scenario.rng_stream", "reporting.trajectory_write"):
+                  "marl.rollout.sample", "marl.build_nets", "marl.update", "marl.forward_seq",
+                  "marl.critic_forward", "marl.backward", "marl.optimizer_step",
+                  "scenario.rng_stream", "reporting.trajectory_write"):
         assert labels.get(label, {}).get("calls", 0) >= 1, label
