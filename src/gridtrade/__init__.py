@@ -8,7 +8,9 @@ Library layout:
 * ``env``       -- the multi-agent trading environment (reset/step)
 * ``marl``      -- recurrent PPO learner with centralized critics
 * ``policies``  -- scripted baseline agents
+* ``runner``    -- scripted-policy episodes on paired seeds
 * ``config``    -- YAML run configuration
+* ``reporting`` -- every run file: tables, trajectories, checkpoints
 * ``cli``       -- simulate / train / compare / export commands
 """
 

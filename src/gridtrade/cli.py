@@ -16,20 +16,22 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .env import MECHANISMS
-from .errors import ConfigInvalid, GridTradeError, IoError
-from .marl.train import episode_metrics, train
+from .env import MECHANISMS, METRIC_NAMES
+from .errors import ConfigInvalid, GridTradeError
+from .marl.train import train
 from .policies import ScriptedPolicy
 from .reporting import (
-    METRIC_NAMES,
     TrajectoryWriter,
     export_tidy,
     load_checkpoint,
+    metrics_from_trajectory,
+    out_dir,
     read_metrics_csv,
-    read_trajectory,
     save_checkpoint,
+    write_comparison_csv,
     write_manifest,
     write_metrics_csv,
+    write_text,
 )
 from .runner import run_episodes
 
@@ -46,25 +48,9 @@ def _resolve_config(args) -> RunConfig:
     return load_config(args.config, environ=dict(os.environ), overrides=overrides)
 
 
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise IoError(f"cannot create {out}: {e}") from e
-    return out
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args.out)
+    out = out_dir(args.out)
     policy = ScriptedPolicy(cfg.policy, margin=cfg.margin)
     with TrajectoryWriter(out / "trajectory.jsonl") as sink:
         rows = run_episodes(cfg.env, policy, cfg.episodes, cfg.seed, on_step=sink)
@@ -85,30 +71,21 @@ def cmd_compare(args) -> int:
         raise ConfigInvalid(
             "mechanism: compare needs at least two (pass --mechanism twice)"
         )
-    for m in mechanisms:
-        if m not in MECHANISMS:
-            raise ConfigInvalid(f"mechanism: unknown name {m!r}")
-    out = _out_dir(args.out)
+    # each EnvConfig checks its mechanism's name
+    env_cfgs = [dataclasses.replace(cfg.env, mechanism=m) for m in mechanisms]
+    out = out_dir(args.out)
     policy = ScriptedPolicy(cfg.policy, margin=cfg.margin)
 
     table = []
-    for mech in mechanisms:
-        env_cfg = dataclasses.replace(cfg.env, mechanism=mech)
+    for env_cfg in env_cfgs:
         rows = run_episodes(env_cfg, policy, cfg.episodes, cfg.seed)
         table.append(
             {
-                "mechanism": mech,
+                "mechanism": env_cfg.mechanism,
                 **{m: float(np.mean([r[m] for r in rows])) for m in METRIC_NAMES},
             }
         )
-    base = table[0]
-    lines = ["mechanism," + ",".join(METRIC_NAMES) + ","
-             + ",".join(f"delta_{m}" for m in METRIC_NAMES)]
-    for row in table:
-        values = [repr(row[m]) for m in METRIC_NAMES]
-        deltas = [repr(row[m] - base[m]) for m in METRIC_NAMES]
-        lines.append(row["mechanism"] + "," + ",".join(values + deltas))
-    _write_text(out / "comparison.csv", "\n".join(lines) + "\n")
+    write_comparison_csv(out / "comparison.csv", table)
     write_manifest(
         out / "manifest.json", cfg.hash(), cfg.seed, cfg.episodes,
         extra={"command": "compare", "mechanisms": mechanisms},
@@ -124,23 +101,22 @@ def cmd_compare(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    out = _out_dir(args.out)
+    out = out_dir(args.out)
     hyper = dataclasses.replace(cfg.learner, episodes=cfg.episodes)
+    metrics_path = out / "metrics.csv"
 
-    nets, start_episode = None, 0
+    nets, start_episode, rows = None, 0, []
     if args.resume:
         nets, start_episode = load_checkpoint(
             Path(args.resume), cfg.env, hyper, cfg.seed
         )
+        # the table the new episodes extend is checked before any training
+        if metrics_path.exists():
+            rows = read_metrics_csv(metrics_path, cfg.env.n_agents)
 
     result = train(cfg.env, hyper, cfg.seed, nets=nets, start_episode=start_episode)
 
-    metrics_path = out / "metrics.csv"
-    if args.resume and metrics_path.exists():
-        rows = read_metrics_csv(metrics_path) + result.metrics
-    else:
-        rows = result.metrics
-    write_metrics_csv(metrics_path, rows, cfg.env.n_agents)
+    write_metrics_csv(metrics_path, rows + result.metrics, cfg.env.n_agents)
     save_checkpoint(
         out / "checkpoint.json", result.nets, hyper, cfg.hash(), cfg.seed,
         result.episodes_done,
@@ -159,48 +135,14 @@ def cmd_train(args) -> int:
 
 def cmd_export(args) -> int:
     src = Path(args.input)
-    if src.suffix == ".csv":
-        rows = read_metrics_csv(src)
-        n_agents = _agent_count_from_rows(rows)
-    else:
-        rows, n_agents = _metrics_from_trajectory(read_trajectory(src), src)
-    text = export_tidy(rows, n_agents, args.format)
+    rows = read_metrics_csv(src) if src.suffix == ".csv" else metrics_from_trajectory(src)
+    text = export_tidy(rows, args.format)
     out = Path(args.out)
     if out.is_dir():
         out = out / f"tidy.{args.format}"
-    _write_text(out, text)
+    write_text(out, text)
     print(f"export: {len(rows)} episodes -> {out}")
     return 0
-
-
-def _agent_count_from_rows(rows) -> int:
-    if not rows:
-        return 0
-    n = 0
-    while f"reward_agent{n}" in rows[0]:
-        n += 1
-    return n
-
-
-def _metrics_from_trajectory(records: list[dict], path: Path) -> tuple[list[dict], int]:
-    """Group step records by episode and hour into the per-episode table."""
-    try:
-        episodes: dict[int, list[dict]] = {}
-        for rec in records:
-            episodes.setdefault(rec["episode"], []).append(rec)
-        rows = []
-        for ep in sorted(episodes):
-            steps = sorted(episodes[ep], key=lambda r: r["hour"])
-            rows.append(episode_metrics(
-                ep,
-                [s["rewards"] for s in steps],
-                [[x["q_e"] for x in s["settlements"]] for s in steps],
-                [[x["q_fit"] for x in s["settlements"]] for s in steps],
-                [s["soc"] for s in steps],
-            ))
-        return rows, len(records[0]["rewards"]) if records else 0
-    except (KeyError, TypeError, ValueError, IndexError) as e:
-        raise IoError(f"malformed trajectory record in {path}: {e!r}") from e
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ run manifests can pin the exact configuration.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .env import MECHANISMS, EnvConfig
-from .errors import ConfigInvalid, IoError
+from .env import EnvConfig
+from .errors import ConfigInvalid, file_errors
 from .marl.train import Hyperparams
 from .microgrid import DEFAULT_FLEET, MicrogridParams
 from .policies import POLICY_RULES, ScriptedPolicy
@@ -108,41 +109,22 @@ def apply_env_overrides(raw: dict, environ: dict) -> dict:
     return out
 
 
-def _profile_from_csv(path: Path) -> DailyProfile:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as e:
-        raise IoError(f"cannot read profile {path}: {e}") from e
+def _hourly_csv(path: Path, section: str, columns: tuple[str, ...], make):
+    """`make(**series)` over the numeric `columns` of a 24-row hourly CSV file."""
+    with file_errors(path, "read"), open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     if len(rows) != HOURS:
-        raise ConfigInvalid(f"profiles: {path} must have {HOURS} rows, found {len(rows)}")
+        raise ConfigInvalid(f"{section}: {path} must have {HOURS} rows, found {len(rows)}")
     try:
-        load = np.array([float(r["load"]) for r in rows])
-        pv = np.array([float(r["pv"]) for r in rows])
-    except (KeyError, ValueError) as e:
-        raise ConfigInvalid(f"profiles: {path} needs numeric hour,load,pv columns") from e
+        series = {c: np.array([float(r[c]) for r in rows]) for c in columns}
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigInvalid(
+            f"{section}: {path} needs numeric hour,{','.join(columns)} columns"
+        ) from e
     try:
-        return DailyProfile(load=load, pv=pv)
+        return make(**series)
     except ValueError as e:
-        raise ConfigInvalid(f"profiles: {path}: {e}") from e
-
-
-def _prices_from_csv(path: Path, feed_in: float, day_ahead: float) -> PriceSchedule:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as e:
-        raise IoError(f"cannot read price schedule {path}: {e}") from e
-    if len(rows) != HOURS:
-        raise ConfigInvalid(f"prices: {path} must have {HOURS} rows, found {len(rows)}")
-    try:
-        emergency = np.array([float(r["emergency"]) for r in rows])
-    except (KeyError, ValueError) as e:
-        raise ConfigInvalid(f"prices: {path} needs numeric hour,emergency columns") from e
-    try:
-        return PriceSchedule(feed_in=feed_in, emergency=emergency, day_ahead=day_ahead)
-    except ValueError as e:
-        raise ConfigInvalid(f"prices: {path}: {e}") from e
+        raise ConfigInvalid(f"{section}: {path}: {e}") from e
 
 
 def _whole(value) -> int:
@@ -199,7 +181,9 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             raise ConfigInvalid(
                 f"profiles: need one file per fleet member ({len(fleet)}), got {len(paths)}"
             )
-        profiles = tuple(_profile_from_csv(base_dir / p) for p in paths)
+        profiles = tuple(
+            _hourly_csv(base_dir / p, "profiles", ("load", "pv"), DailyProfile) for p in paths
+        )
 
     if merged["prices"] == "bundled":
         prices = bundled_price_schedule()
@@ -216,7 +200,8 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigInvalid(f"prices: {e}") from e
     elif isinstance(merged["prices"], str):
-        prices = _prices_from_csv(base_dir / merged["prices"], 0.2, 0.5)
+        schedule = functools.partial(PriceSchedule, feed_in=0.2, day_ahead=0.5)
+        prices = _hourly_csv(base_dir / merged["prices"], "prices", ("emergency",), schedule)
     else:
         raise ConfigInvalid(f"prices: expected 'bundled', a mapping or a CSV path, "
                             f"got {merged['prices']!r}")
@@ -234,10 +219,6 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigInvalid(f"disruption: {e}") from e
 
-    if merged["mechanism"] not in MECHANISMS:
-        raise ConfigInvalid(
-            f"mechanism: unknown name {merged['mechanism']!r}, expected one of {MECHANISMS}"
-        )
     if merged["policy"] not in POLICY_RULES:
         raise ConfigInvalid(
             f"policy: unknown rule {merged['policy']!r}, expected one of {POLICY_RULES}"
@@ -306,10 +287,8 @@ def load_config(
         base_dir = Path(".")
     else:
         path = Path(path)
-        try:
+        with file_errors(path, "read config"):
             text = path.read_text()
-        except OSError as e:
-            raise IoError(f"cannot read config {path}: {e}") from e
         try:
             raw = yaml.safe_load(text) or {}
         except yaml.YAMLError as e:

@@ -533,6 +533,36 @@ def rollout_day(env: TradingEnv, seed: int, act, on_step=None) -> tuple[np.ndarr
     return tuple(series)
 
 
+def episode_seed(base: int, episode: int) -> int:
+    """Stable per-episode seed; paired across runs that share the base."""
+    return int(np.random.SeedSequence([base, episode]).generate_state(1)[0])
+
+
+#: the hourly-mean metrics, in metrics-table column order
+METRIC_NAMES = ("reward", "emergency_kwh", "feedin_kwh", "storage_kwh")
+
+
+def metrics_columns(n_agents: int) -> list[str]:
+    """The metrics-table header: episode, the community means, then each agent's."""
+    agents = [f"{name}_agent{i}" for i in range(n_agents) for name in METRIC_NAMES]
+    return ["episode", *METRIC_NAMES, *agents]
+
+
+def episode_metrics(episode: int, rewards, emergency, feedin, storage) -> dict:
+    """One metrics-table row: per-episode hourly means across the community
+    and per agent, keyed by `metrics_columns`.
+
+    Each series is (T, n): reward, emergency purchase, feed-in export and
+    stored energy for every hour and agent, in METRIC_NAMES order, as
+    `rollout_day` returns them.
+    """
+    series = [np.asarray(x) for x in (rewards, emergency, feedin, storage)]
+    n = series[0].shape[1]
+    values = [episode] + [float(s.mean()) for s in series]
+    values += [float(s[:, i].mean()) for i in range(n) for s in series]
+    return dict(zip(metrics_columns(n), values))
+
+
 def step_record(episode: int, hour: int, actions, result: StepResult) -> dict:
     """JSON-serializable record of one step for trajectory export."""
     return {

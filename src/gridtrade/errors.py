@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class GridTradeError(Exception):
     """Base class for all package-specific errors."""
@@ -65,3 +67,16 @@ class UnknownFormat(GridTradeError):
 
 class IoError(GridTradeError):
     """A file could not be read or written."""
+
+
+@contextmanager
+def file_errors(path, doing: str):
+    """Turn an OSError, or bytes that are not text, into an IoError naming `path`.
+
+    `doing` completes the message "cannot <doing> <path>", e.g. "read" or
+    "write checkpoint".
+    """
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as e:
+        raise IoError(f"cannot {doing} {path}: {e}") from e

@@ -17,9 +17,6 @@ Mechanisms:
 
 from __future__ import annotations
 
-import io
-import json
-import csv as _csv
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -135,10 +132,6 @@ class TradeLedger:
     def from_trades(cls, buyer_ids, seller_ids, trades) -> "TradeLedger":
         return cls(list(buyer_ids), list(seller_ids), list(trades))
 
-    @classmethod
-    def empty(cls) -> "TradeLedger":
-        return cls.from_trades([], [], [])
-
     # --- per-agent aggregates ----------------------------------------
 
     def bought_kwh(self, agent_id: int) -> float:
@@ -174,38 +167,6 @@ class TradeLedger:
 
     def total_volume(self) -> float:
         return float(sum(t.quantity for t in self.trades))
-
-    # --- serialization -----------------------------------------------
-
-    def to_csv(self) -> str:
-        """One row per trade: buyer_id, seller_id, kWh, price."""
-        buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerow(["buyer_id", "seller_id", "kwh", "price"])
-        for t in self.trades:
-            w.writerow([t.buyer_id, t.seller_id, repr(t.quantity), repr(t.buyer_price)])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "buyer_ids": self.buyer_ids,
-                "seller_ids": self.seller_ids,
-                "operator_surplus": self.operator_surplus(),
-                "trades": [
-                    {
-                        "buyer_id": t.buyer_id,
-                        "seller_id": t.seller_id,
-                        "kwh": t.quantity,
-                        "buyer_price": t.buyer_price,
-                        "seller_price": t.seller_price,
-                        "bid": t.bid,
-                        "ask": t.ask,
-                    }
-                    for t in self.trades
-                ],
-            }
-        )
 
 
 # ---------------------------------------------------------------------------

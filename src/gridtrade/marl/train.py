@@ -26,6 +26,8 @@ from ..env import (
     EnvConfig,
     Observation,
     TradingEnv,
+    episode_metrics,
+    episode_seed,
     observation_dim,
     rollout_day,
 )
@@ -101,11 +103,6 @@ class Hyperparams:
         )
 
 
-def episode_seed(base: int, episode: int) -> int:
-    """Stable per-episode seed; paired across runs that share the base."""
-    return int(np.random.SeedSequence([base, episode]).generate_state(1)[0])
-
-
 class ObsNormalizer:
     """Static per-feature scaling derived from the fleet parameters.
 
@@ -172,26 +169,6 @@ def build_nets(config: EnvConfig, hyper: Hyperparams, seed: int) -> list[AgentNe
         )
         nets.append(AgentNets(actor, critic))
     return nets
-
-
-#: the hourly-mean metrics, in metrics-table column order
-METRIC_NAMES = ("reward", "emergency_kwh", "feedin_kwh", "storage_kwh")
-
-
-def episode_metrics(episode: int, rewards, emergency, feedin, storage) -> dict:
-    """Per-episode hourly means, per agent and across the community.
-
-    Each series is (T, n): reward, emergency purchase, feed-in export and
-    stored energy for every hour and agent, in METRIC_NAMES order.
-    """
-    series = [np.asarray(x) for x in (rewards, emergency, feedin, storage)]
-    row = {"episode": episode}
-    for name, values in zip(METRIC_NAMES, series):
-        row[name] = float(values.mean())
-    for i in range(series[0].shape[1]):
-        for name, values in zip(METRIC_NAMES, series):
-            row[f"{name}_agent{i}"] = float(values[:, i].mean())
-    return row
 
 
 def train(

@@ -1,58 +1,90 @@
-"""Result serialization: metrics CSV, trajectories, exports, checkpoints.
+"""Run files: every file the CLI reads or writes.
 
-All writers are byte-deterministic: floats are rendered with repr, JSON
-uses sorted keys, and nothing timestamps the output, so identical runs
-produce identical files.
+Metrics and comparison tables, trajectories, tidy exports, checkpoints and
+manifests are formatted, read and written here, and nowhere else. All
+writers are byte-deterministic: floats are rendered with repr, JSON uses
+sorted keys, and nothing timestamps the output, so identical runs produce
+identical files. A file that cannot be read or written raises `IoError`
+naming its path.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .env import EnvConfig
-from .errors import ChecksumMismatch, IoError, UnknownFormat
+from .env import METRIC_NAMES, EnvConfig, episode_metrics, metrics_columns
+from .errors import ChecksumMismatch, IoError, UnknownFormat, file_errors
 from .marl.nets import flatten_params, load_flat_params
-from .marl.train import METRIC_NAMES, AgentNets, Hyperparams, build_nets
+from .marl.train import AgentNets, Hyperparams, build_nets
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+def out_dir(path: str | Path) -> Path:
+    """The output directory `path`, created if missing."""
+    out = Path(path)
+    with file_errors(out, "create"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def write_text(path: Path, text: str) -> None:
+    with file_errors(path, "write"):
+        Path(path).write_text(text)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: a header line, then one line per row; floats through repr."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def _agent_count(columns) -> int:
+    """The fleet size of a metrics table with these columns (`metrics_columns`' inverse)."""
+    return (len(columns) - 1) // len(METRIC_NAMES) - 1
 
 
 def write_metrics_csv(path: Path, rows: list[dict], n_agents: int) -> None:
     """Per-episode metrics: community hourly means plus per-agent columns."""
-    header = ["episode"] + list(METRIC_NAMES)
-    for i in range(n_agents):
-        header += [f"{m}_agent{i}" for m in METRIC_NAMES]
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(row[col]) for col in header])
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    header = metrics_columns(n_agents)
+    write_text(path, csv_text(header, ([row[col] for col in header] for row in rows)))
 
 
-def read_metrics_csv(path: Path) -> list[dict]:
+def read_metrics_csv(path: Path, n_agents: int | None = None) -> list[dict]:
+    """The rows of a metrics table, for any fleet size or, if given, `n_agents` agents."""
     try:
-        with open(path, newline="") as fh:
+        with file_errors(path, "read"), open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            if header != metrics_columns(_agent_count(header) if n_agents is None else n_agents):
+                fleet = "" if n_agents is None else f" of {n_agents} agents"
+                raise IoError(f"{path} is not a metrics table{fleet}")
             return [
-                {k: (int(v) if k == "episode" else float(v)) for k, v in row.items()}
-                for row in csv.DictReader(fh)
+                {c: (int(v) if c == "episode" else float(v)) for c, v in row.items()}
+                for row in reader
             ]
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
     except (TypeError, ValueError) as e:
         raise IoError(f"malformed metrics file {path}: {e}") from e
+
+
+def write_comparison_csv(path: Path, table: list[dict]) -> None:
+    """Per mechanism: each metric's episode mean and its change from the first row."""
+    base = table[0]
+    header = ["mechanism", *METRIC_NAMES, *(f"delta_{m}" for m in METRIC_NAMES)]
+    write_text(path, csv_text(header, (
+        [row["mechanism"], *(row[m] for m in METRIC_NAMES),
+         *(row[m] - base[m] for m in METRIC_NAMES)]
+        for row in table
+    )))
 
 
 class TrajectoryWriter:
@@ -60,22 +92,16 @@ class TrajectoryWriter:
 
     def __init__(self, path: Path):
         self._path = path
-        try:
+        with file_errors(path, "write"):
             self._fh = open(path, "w")
-        except OSError as e:
-            raise IoError(f"cannot write {path}: {e}") from e
 
     def __call__(self, record: dict) -> None:
-        try:
+        with file_errors(self._path, "write"):
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        except OSError as e:
-            raise IoError(f"cannot write {self._path}: {e}") from e
 
     def close(self) -> None:
-        try:
+        with file_errors(self._path, "write"):
             self._fh.close()
-        except OSError as e:
-            raise IoError(f"cannot write {self._path}: {e}") from e
 
     def __enter__(self):
         return self
@@ -84,22 +110,37 @@ class TrajectoryWriter:
         self.close()
 
 
-def read_trajectory(path: Path) -> list[dict]:
+def metrics_from_trajectory(path: Path) -> list[dict]:
+    """The metrics table of a trajectory file, its step records grouped by
+    episode and hour."""
     try:
-        with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IoError(f"malformed trajectory file {path}: {e}") from e
+        with file_errors(path, "read"), open(path) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        episodes: dict[int, list[dict]] = {}
+        for rec in records:
+            episodes.setdefault(rec["episode"], []).append(rec)
+        rows = []
+        for ep in sorted(episodes):
+            steps = sorted(episodes[ep], key=lambda r: r["hour"])
+            rows.append(episode_metrics(
+                ep,
+                [s["rewards"] for s in steps],
+                [[x["q_e"] for x in s["settlements"]] for s in steps],
+                [[x["q_fit"] for x in s["settlements"]] for s in steps],
+                [s["soc"] for s in steps],
+            ))
+        return rows
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise IoError(f"malformed trajectory file {path}: {e!r}") from e
 
 
-def export_tidy(metrics_rows: list[dict], n_agents: int, fmt: str) -> str:
+def export_tidy(metrics_rows: list[dict], fmt: str) -> str:
     """Tidy (episode, metric, agent, value) table for plotting tools.
 
     Agents are indices plus a "community" aggregate row per metric, so the
     row count is episodes x metrics x (agents + 1).
     """
+    n_agents = _agent_count(metrics_rows[0]) if metrics_rows else 0
     records = []
     for row in metrics_rows:
         for metric in METRIC_NAMES:
@@ -109,9 +150,7 @@ def export_tidy(metrics_rows: list[dict], n_agents: int, fmt: str) -> str:
                     (row["episode"], metric, str(i), row[f"{metric}_agent{i}"])
                 )
     if fmt == "csv":
-        lines = ["episode,metric,agent,value"]
-        lines += [f"{e},{m},{a},{_fmt(v)}" for e, m, a, v in records]
-        return "\n".join(lines) + "\n"
+        return csv_text(("episode", "metric", "agent", "value"), records)
     if fmt == "json":
         return json.dumps(
             [
@@ -168,27 +207,24 @@ def save_checkpoint(
     # canonical bytes that form the envelope's "payload" member.
     body = _canonical(payload)
     checksum = hashlib.sha256(body).hexdigest()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b'{"checksum":"%s","payload":' % checksum.encode())
-            fh.write(body)
-            fh.write(b"}")
-    except OSError as e:
-        raise IoError(f"cannot write checkpoint {path}: {e}") from e
+    with file_errors(path, "write checkpoint"), open(path, "wb") as fh:
+        fh.write(b'{"checksum":"%s","payload":' % checksum.encode())
+        fh.write(body)
+        fh.write(b"}")
 
 
 def load_checkpoint(
     path: Path, env_config: EnvConfig, hyper: Hyperparams, seed: int
 ) -> tuple[list[AgentNets], int]:
     """Restore nets from a checkpoint; returns (nets, next episode index)."""
+    with file_errors(path, "read checkpoint"):
+        text = Path(path).read_text()
     try:
-        envelope = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+        envelope = json.loads(text)
     except json.JSONDecodeError as e:
         raise ChecksumMismatch(f"checkpoint {path} is not valid JSON: {e}") from e
-    payload = envelope.get("payload")
-    if payload is None or envelope.get("checksum") != _payload_checksum(payload):
+    payload = envelope.get("payload") if isinstance(envelope, dict) else None
+    if not isinstance(payload, dict) or envelope.get("checksum") != _payload_checksum(payload):
         raise ChecksumMismatch(f"checkpoint {path} failed its integrity check")
     if payload["version"] != CHECKPOINT_VERSION:
         raise ChecksumMismatch(
@@ -230,7 +266,4 @@ def write_manifest(
         "numpy_version": np.__version__,
     }
     manifest.update(extra or {})
-    try:
-        Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write manifest {path}: {e}") from e
+    write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import EnvConfig, TradingEnv, rollout_day, step_record
-from .marl.train import episode_metrics, episode_seed
+from .env import EnvConfig, TradingEnv, episode_metrics, episode_seed, rollout_day, step_record
 from .policies import PolicyContext, ScriptedPolicy
 
 

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from gridtrade.cli import main
+from gridtrade.config import default_config_dict
 from gridtrade.env import EnvConfig
 from gridtrade.errors import ChecksumMismatch, UnknownFormat
 from gridtrade.marl.train import Hyperparams, build_nets
@@ -134,6 +135,35 @@ class TestTrain:
         assert err.startswith("error: ")
         assert "agent 0" in err and "actor" in err
 
+    def test_resume_from_a_json_array_exits_1(self, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        ck.write_text("[]\n")
+        rc = main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER), "--episodes", "1",
+                   "--out", str(tmp_path / "tr"), "--resume", str(ck)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ck) in err
+
+    def test_resume_onto_another_fleets_metrics_exits_1_before_training(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        assert main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                     "--episodes", "1", "--seed", "2", "--out", str(out)]) == 0
+        checkpoint = (out / "checkpoint.json").read_bytes()
+        # a 2-agent table left in the 4-agent run's directory
+        two = tmp_path / "two"
+        two.mkdir()
+        fleet = default_config_dict()["fleet"][:2]
+        assert main(["simulate", "--config", write_cfg(two, fleet=fleet), "--episodes", "1",
+                     "--out", str(two)]) == 0
+        (out / "metrics.csv").write_bytes((two / "metrics.csv").read_bytes())
+        capsys.readouterr()
+        rc = main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER), "--episodes", "1",
+                   "--seed", "2", "--out", str(out), "--resume", str(out / "checkpoint.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "metrics.csv") in err
+        assert (out / "checkpoint.json").read_bytes() == checkpoint
+
     def test_corrupted_checkpoint_detected(self, tmp_path):
         cfg_env = EnvConfig()
         hyper = Hyperparams(lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
@@ -219,7 +249,7 @@ class TestExport:
 
     def test_export_tidy_unknown_format_raises(self):
         with pytest.raises(UnknownFormat):
-            export_tidy([], 0, "xml")
+            export_tidy([], "xml")
 
     def test_trajectory_and_metrics_exports_identical(self, tmp_path):
         sim = tmp_path / "sim"
@@ -260,12 +290,73 @@ class TestMalformedExportInput:
         path.write_text(header + "\n" + ",".join(cells) + "\n")
         assert self.export_rc(path, capsys) == 1
 
+    @pytest.mark.parametrize("cut", [
+        lambda header: header[:2],   # episode and reward only
+        lambda header: header[:-1],  # the last agent's group is partial
+    ], ids=["metric-columns-missing", "partial-agent-group"])
+    def test_not_a_metrics_table(self, sim, cut, capsys):
+        path = sim / "metrics.csv"
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        n = len(cut(lines[0]))
+        path.write_text("".join(",".join(cells[:n]) + "\n" for cells in lines))
+        assert self.export_rc(path, capsys) == 1
+
     def test_record_without_rewards(self, sim, capsys):
         path = sim / "trajectory.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
         del records[3]["rewards"]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert self.export_rc(path, capsys) == 1
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read exits 1 with `error: <path>`."""
+
+    @pytest.mark.parametrize("site", ["profile-csv", "price-csv", "resume-checkpoint",
+                                      "export-input-directory"])
+    def test_exit_1_naming_the_path(self, site, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        if site == "profile-csv":
+            path = tmp_path / "missing_profile.csv"
+            argv = ["simulate", "--config", write_cfg(tmp_path, profiles=[path.name] * 4),
+                    "--episodes", "1", "--out", out]
+        elif site == "price-csv":
+            path = tmp_path / "missing_prices.csv"
+            argv = ["simulate", "--config", write_cfg(tmp_path, prices=path.name),
+                    "--episodes", "1", "--out", out]
+        elif site == "resume-checkpoint":
+            path = tmp_path / "missing_checkpoint.json"
+            argv = ["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                    "--episodes", "1", "--out", out, "--resume", str(path)]
+        else:
+            path = tmp_path / "a_directory"
+            path.mkdir()
+            argv = ["export", "--input", str(path), "--out", out]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("site", ["config", "profile-csv", "resume-checkpoint",
+                                      "export-metrics-csv"])
+    def test_bytes_that_are_not_text_exit_1(self, site, tmp_path, capsys):
+        path = tmp_path / ("binary.yaml" if site == "config" else "binary.csv")
+        path.write_bytes(b"\xff\xfe\x00\x81 not utf-8\n")
+        out = str(tmp_path / "o")
+        if site == "config":
+            argv = ["simulate", "--config", str(path), "--out", out]
+        elif site == "profile-csv":
+            argv = ["simulate", "--config", write_cfg(tmp_path, profiles=[path.name] * 4),
+                    "--out", out]
+        elif site == "resume-checkpoint":
+            argv = ["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                    "--episodes", "1", "--out", out, "--resume", str(path)]
+        else:
+            argv = ["export", "--input", str(path), "--out", out]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestUnwritableOut:

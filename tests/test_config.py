@@ -106,6 +106,14 @@ class TestFileLoading:
         with pytest.raises(ConfigInvalid, match="24 rows"):
             load_config(path)
 
+    def test_profile_csv_short_row(self, tmp_path):
+        lines = ["hour,load,pv"] + [f"{h},0.5,0.5" for h in range(23)] + ["23,0.5"]
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"profiles": ["p.csv"] * 4}))
+        with pytest.raises(ConfigInvalid, match="numeric hour,load,pv columns"):
+            load_config(path)
+
     def test_price_csv_loading(self, tmp_path):
         lines = ["hour,emergency"] + [f"{h},{2.0 + h / 24:.3f}" for h in range(24)]
         (tmp_path / "prices.csv").write_text("\n".join(lines) + "\n")

@@ -12,7 +12,6 @@ from gridtrade.market import (
     MarketFactor,
     PriceEnvelope,
     Quotation,
-    TradeLedger,
     clear_greedy,
     clear_jpq,
     clear_mrda,
@@ -306,7 +305,9 @@ class TestMrda:
 class TestVvda:
     def test_breakeven_at_one_means_no_trades(self):
         quotes = [q(0, 1.0, 5), q(1, 0.8, 3), q(2, -0.5, 4), q(3, -0.9, 6)]
-        assert clear_vvda(quotes).trades == []
+        ledger = clear_vvda(quotes)
+        assert ledger.trades == []
+        assert ledger.operator_surplus() == 0.0
 
     def test_mcafee_price_rule(self):
         quotes = [
@@ -487,32 +488,3 @@ def test_hypothesis_large_book_invariants(seed, n, buyer_share, tick, m):
             assert ledger.total_payments_micro() >= ledger.total_receipts_micro()
         else:
             assert ledger.total_payments_micro() == ledger.total_receipts_micro()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-class TestSerialization:
-    def test_csv_one_row_per_cell(self):
-        quotes = [q(0, 1.0, 6), q(1, 0.9, 2), q(2, -0.2, 3), q(3, -0.3, 4)]
-        ledger = clear_jpq(quotes, BALANCED, p_e=2.0)
-        lines = ledger.to_csv().strip().splitlines()
-        assert lines[0] == "buyer_id,seller_id,kwh,price"
-        assert len(lines) == 1 + len(ledger.trades)
-
-    def test_json_roundtrip_fields(self):
-        import json
-
-        ledger = clear_vvda(
-            [q(0, 1.2, 2), q(1, 1.0, 2), q(2, -0.4, 2), q(3, -0.7, 2)]
-        )
-        payload = json.loads(ledger.to_json())
-        assert payload["operator_surplus"] == pytest.approx(0.6)
-        assert payload["trades"][0]["buyer_price"] == 1.0
-        assert payload["trades"][0]["seller_price"] == 0.7
-
-    def test_empty_ledger(self):
-        ledger = TradeLedger.empty()
-        assert ledger.to_csv().strip() == "buyer_id,seller_id,kwh,price"
-        assert ledger.operator_surplus() == 0.0

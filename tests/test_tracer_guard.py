@@ -83,3 +83,26 @@ def test_wrapped_names_are_still_called(tracing, tmp_path):
                   "marl.critic_forward", "marl.backward", "marl.optimizer_step",
                   "scenario.rng_stream", "reporting.trajectory_write"):
         assert labels.get(label, {}).get("calls", 0) >= 1, label
+
+
+def test_cli_wrapped_names_are_still_called(tracing, tmp_path):
+    # the CLI-level spans: a write moved behind a new function would leave them empty
+    from gridtrade.cli import main
+
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("learner: {lstm_hidden: 4, actor_hidden: [8, 8], critic_hidden: [8, 8], "
+                   "epochs: 1}\n")
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        assert main(["simulate", "--config", str(cfg), "--episodes", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(["train", "--config", str(cfg), "--episodes", "1",
+                     "--out", str(tmp_path / "train")]) == 0
+        labels = tracer.summary()["labels"]
+    finally:
+        patches.undo()
+
+    for label in ("cli.build_parser", "config.load_config", "reporting.write_metrics_csv",
+                  "reporting.save_checkpoint", "reporting.write_manifest"):
+        assert labels.get(label, {}).get("calls", 0) >= 1, label
