@@ -7,15 +7,15 @@ three PV disruption processes plus the seeded determinism of every draw.
 
 import numpy as np
 
-from gridtrade.microgrid import DEFAULT_FLEET
+from gridtrade.microgrid import DEFAULT_FLEET, FleetParams
 from gridtrade.scenario import (
+    HOURS,
+    STREAM_DAY,
     DisruptionConfig,
-    apply_failure,
-    apply_gradual_decline,
     apply_pv_disruption,
-    apply_sudden_drop,
     bundled_price_schedule,
     bundled_profile,
+    draw_day,
     hourly_shape,
     rng_stream,
     sample_realization,
@@ -42,18 +42,40 @@ print(f"  |{spark(sched.emergency, 3.5)}|")
 
 print("\nnoisy realization for grid 0 (process sigma 0.1), two draws of seed 7:")
 profile = bundled_profile(0)
-a = sample_realization(profile, DEFAULT_FLEET[0], 0.1, rng_stream(7, 0, 0))
-b = sample_realization(profile, DEFAULT_FLEET[0], 0.1, rng_stream(7, 0, 0))
-print(f"  load |{spark(a[0], 25)}|  (identical on redraw: {np.array_equal(a[0], b[0])})")
+base = np.array([[profile.load, profile.pv]])
+plant = FleetParams.of(DEFAULT_FLEET[:1])
+
+
+def day(seed):
+    """Grid 0's day block: process noise, disruption uniforms, observation noise."""
+    return draw_day([rng_stream(seed, 0, STREAM_DAY)], window_len=8)
+
+
+a = sample_realization(base, plant, 0.1, day(7).process)
+b = sample_realization(base, plant, 0.1, day(7).process)
+print(f"  load |{spark(a[0][0], 25)}|  (identical on redraw: {np.array_equal(a[0], b[0])})")
 
 print("\nPV disruption processes on a flat 10 kWh series:")
-flat = np.full(24, 10.0)
-print(f"  sudden drop x0.6 at hour 8 |{spark(apply_sudden_drop(flat, 8, 0.6), 10)}|")
-print(f"  gradual decline from hour 6|{spark(apply_gradual_decline(flat, 6, 3), 10)}|")
-print(f"  failure hours 10-12        |{spark(apply_failure(flat, 10, 3), 10)}|")
-
+flat = np.full((1, HOURS), 10.0)
 cfg = DisruptionConfig()  # toned-down default rates
-disrupted = apply_pv_disruption(flat, cfg, rng_stream(3, 0, 2))
+
+
+def forced(event, hour, drop=0.0):
+    """Uniforms that start one event (0 sudden, 1 gradual, 2 failure) at `hour`."""
+    uniforms = np.full((1, HOURS, 4), 0.999)
+    uniforms[0, :, 3] = drop
+    uniforms[0, hour, event] = 0.0
+    return uniforms
+
+
+sudden = apply_pv_disruption(flat, cfg, forced(0, 8, drop=0.25))[0]  # factor 0.6
+gradual = apply_pv_disruption(flat, cfg, forced(1, 6))[0]
+failure = apply_pv_disruption(flat, DisruptionConfig(failure_hours=3), forced(2, 10))[0]
+print(f"  sudden drop x0.6 at hour 8 |{spark(sudden, 10)}|")
+print(f"  gradual decline from hour 6|{spark(gradual, 10)}|")
+print(f"  failure hours 10-12        |{spark(failure, 10)}|")
+
+disrupted = apply_pv_disruption(flat, cfg, day(3).disruption)[0]
 print(f"  sampled composite          |{spark(disrupted, 10)}|")
 assert (disrupted <= flat).all()
 

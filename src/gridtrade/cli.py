@@ -71,6 +71,8 @@ def cmd_compare(args) -> int:
         raise ConfigInvalid(
             "mechanism: compare needs at least two (pass --mechanism twice)"
         )
+    if cfg.episodes < 1:
+        raise ConfigInvalid(f"episodes: compare needs at least one, got {cfg.episodes}")
     # each EnvConfig checks its mechanism's name
     env_cfgs = [dataclasses.replace(cfg.env, mechanism=m) for m in mechanisms]
     out = out_dir(args.out)

@@ -53,15 +53,14 @@ from .microgrid import (
 )
 from .scenario import (
     HOURS,
-    STREAM_DISRUPTION,
-    STREAM_LOAD,
-    STREAM_OBS,
+    STREAM_DAY,
     DailyProfile,
     DisruptionConfig,
     PriceSchedule,
     apply_pv_disruption,
     bundled_price_schedule,
     bundled_profile,
+    draw_day,
     rng_stream,
     sample_realization,
 )
@@ -132,6 +131,13 @@ class EnvConfig:
 
     def profile_for(self, agent: int) -> DailyProfile:
         return self.day_profiles[agent]
+
+    @cached_property
+    def base_shapes(self) -> np.ndarray:
+        """The base profiles as one read-only (n, 2, HOURS) array, load then PV."""
+        shapes = np.array([(p.load, p.pv) for p in self.day_profiles])
+        shapes.flags.writeable = False
+        return shapes
 
     @cached_property
     def _envelopes(self) -> tuple[PriceEnvelope, ...]:
@@ -254,17 +260,18 @@ class StepResult:
 
 
 def day_windows(
-    config: EnvConfig, seed: int, load, gen, load_forecast, gen_forecast, q_da
+    config: EnvConfig, noise: np.ndarray, load, gen, load_forecast, gen_forecast, q_da
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every agent's noisy observation window for every hour of one day.
 
     Returns the (n, T + 1, W, 4) window tensor and the (T + 1, W) mask.
     Slot k of hour t looks at hour z = t - delta_past + k: past slots
     report the realized series, current and future slots the day-ahead
-    forecast, and both get multiplicative noise from the (seed, agent,
-    STREAM_OBS, t) stream, load then PV for each in-horizon slot in turn.
-    Day-ahead quantities and the emergency price are exact. Out-of-horizon
-    slots, and all of row T, are zero with a zero mask.
+    forecast. Both get multiplicative noise, obs_sigma times the standard
+    normals `noise[:, t, k]` of the day's (n, HOURS, W, 2) observation
+    block (see `scenario.draw_day`), load then PV. Day-ahead quantities and
+    the emergency price are exact. Out-of-horizon slots, and all of row T,
+    are zero with a zero mask.
     """
     n, T = load.shape
     W = config.window_len
@@ -278,16 +285,10 @@ def day_windows(
 
     sigma = config.obs_sigma
     if sigma > 0:
-        slots = valid.sum(axis=1).tolist()
-        draws = np.concatenate([
-            rng_stream(seed, i, STREAM_OBS, t).normal(0.0, sigma, 2 * slots[t])
-            for i in range(n)
-            for t in range(T)
-        ])
-        noise = np.zeros((n, T + 1, W, 2))
-        noise[np.broadcast_to(valid, (n, T + 1, W))] = draws.reshape(-1, 2)
-        load_val = load_val * (1.0 + noise[..., 0])
-        gen_val = gen_val * (1.0 + noise[..., 1])
+        scaled = np.zeros((n, T + 1, W, 2))
+        scaled[:, :T] = sigma * noise[:, :T]
+        load_val = load_val * (1.0 + scaled[..., 0])
+        gen_val = gen_val * (1.0 + scaled[..., 1])
         load_val = np.where(load_val > 0.0, load_val, 0.0)
         gen_val = np.where(gen_val > 0.0, gen_val, 0.0)
 
@@ -303,23 +304,21 @@ def day_windows(
 def reset(
     config: EnvConfig, seed: int, initial_energy: np.ndarray | list[float] | None = None
 ) -> tuple[GlobalState, Observation]:
-    """Sample a fresh day and return the initial observations."""
+    """Sample a fresh day and return the initial observations.
+
+    The whole day is drawn at once from each microgrid's (seed, i,
+    STREAM_DAY) stream, and a shorter horizon keeps the first hours of it.
+    """
     n = config.n_agents
     T = config.horizon
     plant = config.plant
-    load = np.zeros((n, T))
-    gen = np.zeros((n, T))
-    for i, (params, profile) in enumerate(zip(config.fleet, config.day_profiles)):
-        li, gi = sample_realization(
-            profile, params, config.process_sigma, rng_stream(seed, i, STREAM_LOAD)
-        )
-        gi = apply_pv_disruption(
-            gi, config.disruption, rng_stream(seed, i, STREAM_DISRUPTION)
-        )
-        load[i] = li[:T]
-        gen[i] = gi[:T]
-    load_fc = (plant.l_max[:, None] * np.array([p.load for p in config.day_profiles]))[:, :T]
-    gen_fc = (plant.g_max[:, None] * np.array([p.pv for p in config.day_profiles]))[:, :T]
+    draws = draw_day([rng_stream(seed, i, STREAM_DAY) for i in range(n)], config.window_len)
+    shapes = config.base_shapes
+    load, gen = sample_realization(shapes, plant, config.process_sigma, draws.process)
+    gen = apply_pv_disruption(gen, config.disruption, draws.disruption)
+    load, gen = load[:, :T], gen[:, :T]
+    load_fc = (plant.l_max[:, None] * shapes[:, 0])[:, :T]
+    gen_fc = (plant.g_max[:, None] * shapes[:, 1])[:, :T]
     q_da = day_ahead_quantity(load_fc, gen_fc, plant.beta[:, None])
 
     if initial_energy is None:
@@ -329,7 +328,7 @@ def reset(
         energy = np.where(plant.e_min > energy, plant.e_min, energy)
         energy = np.where(plant.e_max < energy, plant.e_max, energy)
 
-    windows, mask = day_windows(config, seed, load, gen, load_fc, gen_fc, q_da)
+    windows, mask = day_windows(config, draws.obs, load, gen, load_fc, gen_fc, q_da)
     state = GlobalState(
         config=config,
         seed=seed,

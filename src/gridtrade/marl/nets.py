@@ -40,9 +40,14 @@ def squash_correction(u: np.ndarray) -> np.ndarray:
     return (log_jac + np.log(_SPAN_HALF)).sum(axis=-1)
 
 
-def gaussian_logp(u: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    z = (u - mean) / np.exp(log_std)
-    return (-0.5 * z * z - log_std - _HALF_LOG_2PI).sum(axis=-1)
+def gaussian_logp(u, mean, log_std, exp=np.exp):
+    """Diagonal Gaussian log-density, summed over the last axis.
+
+    The one formula for the rollout (ndarrays) and the taped update
+    (`Tensor`s, with `autodiff.exp`), so both round alike.
+    """
+    z = (u - mean) * exp(-log_std)
+    return (z * z * -0.5 - log_std - _HALF_LOG_2PI).sum(axis=-1)
 
 
 class DiagGaussian:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from .autodiff import Tensor, as_tensor, clip, exp, minimum
-from .nets import squash_correction
+from .nets import gaussian_logp, squash_correction
 
 
 def compute_gae(
@@ -82,11 +82,7 @@ def policy_logp_and_entropy(
     the pre-squash Gaussian.
     """
     u = np.asarray(presquash, dtype=np.float64)
-    diff = as_tensor(u) - means
-    z = diff * exp(-log_std)
-    half_log_2pi = 0.5 * np.log(2.0 * np.pi)
-    gauss = (z * z * (-0.5) - log_std - half_log_2pi).sum(axis=-1)
-    logp = gauss - as_tensor(squash_correction(u))
+    logp = gaussian_logp(as_tensor(u), means, log_std, exp) - as_tensor(squash_correction(u))
     entropy = (log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))).sum()
     return logp, entropy
 

@@ -226,6 +226,14 @@ def load_checkpoint(
     payload = envelope.get("payload") if isinstance(envelope, dict) else None
     if not isinstance(payload, dict) or envelope.get("checksum") != _payload_checksum(payload):
         raise ChecksumMismatch(f"checkpoint {path} failed its integrity check")
+    missing = [key for key in ("version", "hyper", "agents", "episode") if key not in payload]
+    if missing:
+        raise ChecksumMismatch(f"checkpoint {path} lacks {', '.join(missing)}")
+    agents = payload["agents"]
+    if not isinstance(agents, list) or not all(
+        isinstance(blob, dict) and "actor" in blob and "critic" in blob for blob in agents
+    ):
+        raise ChecksumMismatch(f"checkpoint {path} has an agent without actor and critic")
     if payload["version"] != CHECKPOINT_VERSION:
         raise ChecksumMismatch(
             f"checkpoint version {payload['version']} not supported"
@@ -240,11 +248,9 @@ def load_checkpoint(
             "checkpoint network sizes do not match the configured learner"
         )
     nets = build_nets(env_config, hyper, seed)
-    if len(payload["agents"]) != len(nets):
-        raise ChecksumMismatch(
-            f"checkpoint has {len(payload['agents'])} agents, config has {len(nets)}"
-        )
-    for i, (ag, blob) in enumerate(zip(nets, payload["agents"])):
+    if len(agents) != len(nets):
+        raise ChecksumMismatch(f"checkpoint has {len(agents)} agents, config has {len(nets)}")
+    for i, (ag, blob) in enumerate(zip(nets, agents)):
         for part, net in (("actor", ag.actor), ("critic", ag.critic)):
             try:
                 load_flat_params(net.params(), np.asarray(blob[part], dtype=np.float64))

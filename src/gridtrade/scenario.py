@@ -6,25 +6,30 @@ additionally subject to three disruption processes, and the price schedule
 carries the fixed feed-in tariff plus an hourly emergency price curve.
 
 Randomness is counter-based: every stream is derived from an explicit seed
-path (seed, agent, purpose[, hour]) so adding agents or reordering draws
-never perturbs anyone else's realization.
+path, so adding agents or reordering draws never perturbs anyone else's
+realization. Microgrid i's day comes from the one (seed, i, STREAM_DAY)
+stream: `draw_day` takes from it, in this order and always at full size,
+the (2, HOURS) process noise, the (HOURS, 4) disruption uniforms and the
+(HOURS, W, 2) observation noise. Each hour's draws therefore depend only on
+(seed, agent, hour, slot), whatever the horizon, sigmas or disruption
+probabilities. The random scripted policy draws from (seed, i,
+STREAM_ACTION, hour).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptySeries, IndexOutOfRange, NonHourlyData
-from .microgrid import MicrogridParams
+from .microgrid import FleetParams
 
 HOURS = 24
 
 # purpose tags for seed paths
-STREAM_LOAD = 0
-STREAM_DISRUPTION = 2
-STREAM_OBS = 3
+STREAM_DAY = 1
 STREAM_ACTION = 4
 
 #: hourly disruption probabilities as printed in the source material
@@ -194,69 +199,73 @@ def emergency_price(t: int, schedule: PriceSchedule) -> float:
 # Stochastic realization
 # ---------------------------------------------------------------------------
 
-def sample_realization(
-    profile: DailyProfile,
-    params: MicrogridParams,
-    noise_sigma: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one day of realized load and PV from the base profile.
+class DayDraws(NamedTuple):
+    """A fleet's random draws for one day, row i from microgrid i's stream."""
 
-    Gaussian noise is injected in the normalized domain, then scaled by the
-    plant limits and clamped to the physical range.
+    process: np.ndarray      # (n, 2, HOURS) standard normals: load, PV
+    disruption: np.ndarray   # (n, HOURS, 4) uniforms: sudden, gradual, failure, drop factor
+    obs: np.ndarray          # (n, HOURS, W, 2) standard normals: load, PV per window slot
+
+
+def draw_day(rngs: list[np.random.Generator], window_len: int) -> DayDraws:
+    """Take each microgrid's fixed-shape block for the day from its stream."""
+    n = len(rngs)
+    draws = DayDraws(
+        np.empty((n, 2, HOURS)), np.empty((n, HOURS, 4)), np.empty((n, HOURS, window_len, 2))
+    )
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=draws.process[i])
+        rng.random(out=draws.disruption[i])
+        rng.standard_normal(out=draws.obs[i])
+    return draws
+
+
+def sample_realization(
+    base: np.ndarray, plant: FleetParams, noise_sigma: float, noise: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fleet's realized (n, HOURS) load and PV from its base shapes.
+
+    `base` and `noise` are (n, 2, HOURS), load then PV: the normalized
+    shapes and standard-normal process noise. The noise is scaled by
+    `noise_sigma` and injected in the normalized domain, then the day is
+    scaled by the plant limits and clamped to the physical range.
     """
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
-    load_noise = rng.normal(0.0, noise_sigma, HOURS) if noise_sigma else np.zeros(HOURS)
-    pv_noise = rng.normal(0.0, noise_sigma, HOURS) if noise_sigma else np.zeros(HOURS)
-    load = np.clip(params.l_max * (profile.load + load_noise), 0.0, params.l_max)
-    gen = np.clip(params.g_max * (profile.pv + pv_noise), 0.0, params.g_max)
-    return load, gen
+    limits = np.stack([plant.l_max, plant.g_max], axis=1)[:, :, None]
+    day = np.clip(limits * (base + noise_sigma * noise), 0.0, limits)
+    return day[:, 0], day[:, 1]
 
 
-def apply_sudden_drop(gen: np.ndarray, hour: int, factor: float) -> np.ndarray:
-    """Multiply one hour's PV output by a drop factor."""
-    out = gen.copy()
-    out[hour] *= factor
-    return out
-
-
-def apply_gradual_decline(
-    gen: np.ndarray, hour: int, ramp_hours: int, floor: float = 0.5
-) -> np.ndarray:
-    """Ramp PV output linearly down to the floor fraction, then hold it."""
-    out = gen.copy()
-    for k in range(hour, len(out)):
-        step = k - hour
-        if step < ramp_hours:
-            factor = 1.0 - (1.0 - floor) * (step + 1) / ramp_hours
-        else:
-            factor = floor
-        out[k] *= factor
-    return out
-
-
-def apply_failure(gen: np.ndarray, hour: int, duration: int) -> np.ndarray:
-    """Zero PV output for `duration` hours starting at `hour`."""
-    out = gen.copy()
-    out[hour : hour + duration] = 0.0
-    return out
+#: [t, k] = k - t, the lag of hour k behind an event at hour t
+_LAG = np.arange(HOURS)[None, :] - np.arange(HOURS)[:, None]
 
 
 def apply_pv_disruption(
-    gen: np.ndarray, cfg: DisruptionConfig, rng: np.random.Generator
+    gen: np.ndarray, cfg: DisruptionConfig, uniforms: np.ndarray
 ) -> np.ndarray:
-    """Sample the three disruption processes independently per hour.
+    """The fleet's (n, HOURS) PV output after the three disruption processes.
 
-    Effects compose multiplicatively, so disrupted output never exceeds
-    the undisrupted series and never goes negative.
+    `uniforms` is (n, HOURS, 4): at hour t a sudden drop, a gradual decline
+    and a failure each start when their uniform falls below the process's
+    probability, and the fourth uniform sets the drop factor in
+    [drop_lo, drop_hi]. A drop scales hour t alone; a decline ramps linearly
+    from hour t down to `ramp_floor` over `ramp_hours`, then holds it; a
+    failure zeroes `failure_hours` hours from t. Every event is an
+    (n, HOURS, HOURS) factor mask over (start, hour) and the effects compose
+    multiplicatively, so disrupted output never exceeds the undisrupted
+    series and never goes negative; with no event the output equals `gen`.
     """
-    out = np.asarray(gen, dtype=float).copy()
-    for t in range(len(out)):
-        if rng.random() < cfg.p_sudden:
-            out = apply_sudden_drop(out, t, rng.uniform(cfg.drop_lo, cfg.drop_hi))
-        if rng.random() < cfg.p_gradual:
-            out = apply_gradual_decline(out, t, cfg.ramp_hours, cfg.ramp_floor)
-        if rng.random() < cfg.p_failure:
-            out = apply_failure(out, t, cfg.failure_hours)
-    return out
+    hit = uniforms[..., :3] < (cfg.p_sudden, cfg.p_gradual, cfg.p_failure)
+    drop = cfg.drop_lo + (cfg.drop_hi - cfg.drop_lo) * uniforms[..., 3]
+    ramp = np.where(
+        _LAG < cfg.ramp_hours,
+        1.0 - (1.0 - cfg.ramp_floor) * (_LAG + 1) / cfg.ramp_hours,
+        cfg.ramp_floor,
+    )
+    ramp = np.where(_LAG >= 0, ramp, 1.0)
+    failure = np.where((_LAG >= 0) & (_LAG < cfg.failure_hours), 0.0, 1.0)
+    sudden = np.where(hit[..., 0, None] & (_LAG == 0), drop[..., None], 1.0)
+    gradual = np.where(hit[..., 1, None], ramp, 1.0)
+    failed = np.where(hit[..., 2, None], failure, 1.0)
+    return gen * (sudden * gradual * failed).prod(axis=1)

@@ -12,6 +12,7 @@ from gridtrade.env import EnvConfig
 from gridtrade.errors import ChecksumMismatch, UnknownFormat
 from gridtrade.marl.train import Hyperparams, build_nets
 from gridtrade.reporting import (
+    _payload_checksum,
     export_tidy,
     load_checkpoint,
     read_metrics_csv,
@@ -91,6 +92,13 @@ class TestCompare:
                    "--mechanism", "jpq"])
         assert rc == 2
 
+    def test_zero_episodes_rejected(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["compare", "--episodes", "0", "--out", str(out)])
+        assert rc == 2
+        assert "episodes" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -140,6 +148,30 @@ class TestTrain:
         ck.write_text("[]\n")
         rc = main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER), "--episodes", "1",
                    "--out", str(tmp_path / "tr"), "--resume", str(ck)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ck) in err
+
+    @pytest.mark.parametrize("field", ["version", "hyper", "agents", "episode", "actor",
+                                       "critic", "all-but-version"])
+    def test_resume_from_a_payload_missing_a_field_exits_1(self, tmp_path, capsys, field):
+        out = tmp_path / "tr"
+        cfg = write_cfg(tmp_path, **FAST_LEARNER)
+        assert main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                     "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        payload = json.loads(ck.read_text())["payload"]
+        if field == "all-but-version":
+            payload = {"version": payload["version"]}
+        elif field in ("actor", "critic"):
+            del payload["agents"][1][field]
+        else:
+            del payload[field]
+        # a well-formed envelope: the checksum matches the damaged payload
+        ck.write_text(json.dumps({"checksum": _payload_checksum(payload), "payload": payload}))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(ck)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ck) in err

@@ -34,10 +34,11 @@ from gridtrade.policies import PolicyContext, ScriptedPolicy
 from gridtrade.scenario import (
     HOURS,
     STREAM_ACTION,
-    STREAM_OBS,
+    STREAM_DAY,
     DailyProfile,
     DisruptionConfig,
     PriceSchedule,
+    draw_day,
     rng_stream,
 )
 
@@ -58,7 +59,9 @@ def make_state(config, load, gen, q_da=None, energies=None, hour=0, seed=0):
     n, T = load.shape
     q_da = np.zeros((n, T)) if q_da is None else q_da
     energy = np.array(energies if energies else [p.e0 for p in config.fleet], dtype=float)
-    windows, mask = day_windows(config, seed, load, gen, load, gen, q_da)
+    rngs = [rng_stream(seed, i, STREAM_DAY) for i in range(n)]
+    noise = draw_day(rngs, config.window_len).obs
+    windows, mask = day_windows(config, noise, load, gen, load, gen, q_da)
     return GlobalState(
         config=config,
         seed=seed,
@@ -89,8 +92,14 @@ def reference_observation(state, agent):
     else:
         m = compute_market_factor(state).value
         theta = 2 * math.pi * t / HOURS
-        rng = rng_stream(state.seed, agent, STREAM_OBS, t)
+        # the agent's day stream: process noise, disruption uniforms, then
+        # (load, PV) normals for every window slot of every hour in turn
+        rng = rng_stream(state.seed, agent, STREAM_DAY)
+        rng.standard_normal(2 * HOURS)
+        rng.random(4 * HOURS)
+        rng.standard_normal(2 * W * t)
         for k, z in enumerate(range(t - cfg.delta_past, t + cfg.delta_future + 1)):
+            load_noise, gen_noise = rng.standard_normal(), rng.standard_normal()
             if not (0 <= z < cfg.horizon):
                 continue
             if z < t:
@@ -100,8 +109,8 @@ def reference_observation(state, agent):
                 load_val = state.load_forecast[agent, z]
                 gen_val = state.gen_forecast[agent, z]
             if cfg.obs_sigma > 0:
-                load_val = max(0.0, load_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
-                gen_val = max(0.0, gen_val * (1.0 + rng.normal(0.0, cfg.obs_sigma)))
+                load_val = max(0.0, load_val * (1.0 + cfg.obs_sigma * load_noise))
+                gen_val = max(0.0, gen_val * (1.0 + cfg.obs_sigma * gen_noise))
             window[k] = (
                 state.q_da[agent, z],
                 load_val,
@@ -191,6 +200,23 @@ class TestReset:
         a, _ = reset(cfg, seed=1)
         b, _ = reset(cfg, seed=2)
         assert not np.array_equal(a.load, b.load)
+
+    def test_agent_rows_do_not_depend_on_fleet_size(self):
+        # the reference four cycled to 64: agents 0-3 keep their own day
+        small, _ = reset(EnvConfig(), seed=21)
+        large, _ = reset(EnvConfig(fleet=DEFAULT_FLEET * 16), seed=21)
+        for name in ("load", "gen", "load_forecast", "gen_forecast", "q_da", "windows"):
+            np.testing.assert_array_equal(getattr(large, name)[:4], getattr(small, name), name)
+
+    def test_shorter_horizon_is_a_prefix_of_the_day(self):
+        full, _ = reset(EnvConfig(), seed=22)
+        half, _ = reset(EnvConfig(horizon=12), seed=22)
+        for name in ("load", "gen", "load_forecast", "gen_forecast", "q_da"):
+            np.testing.assert_array_equal(getattr(half, name), getattr(full, name)[:, :12], name)
+        # every in-horizon window slot reads the same noisy value
+        inside = half.window_mask[:12].astype(bool)
+        np.testing.assert_array_equal(half.windows[:, :12][:, inside],
+                                      full.windows[:, :12][:, inside])
 
     def test_day_ahead_positive_when_forecast_deficit(self):
         profile = DailyProfile(load=np.full(24, 0.8), pv=np.full(24, 0.1))

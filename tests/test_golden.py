@@ -29,31 +29,31 @@ from gridtrade.market import (
 # equal greedy's; the large book below pins the concession rounds.
 SIMULATE = {
     "jpq": {
-        "trajectory.jsonl": "a6125494f83afae47d333c841666a92e1462863bd43bc2cf9f903e292691ea32",
-        "metrics.csv": "2a00e5470ab872f81a2fd8db605c3b18043882f1520a12f437efd1a062937f12",
+        "trajectory.jsonl": "a9f20e34aa8bbae75bf7c99fde9b9424c64e0d6f8e4c23b1e5d2a0b115c4754d",
+        "metrics.csv": "d12fc30c2292979f7da823e78e18070e30ad4829d19af7584d3ebf31662173e7",
     },
     "greedy": {
-        "trajectory.jsonl": "c3c6e9c31b9be944707a068a09ee442ed2834479cf3f31e21f2d52334e81d2b1",
-        "metrics.csv": "cf2cad451ffbfabe5628e14b80438a52afae040113f71349ef814f19779df0c6",
+        "trajectory.jsonl": "198b53d4cb8a1267a99693e1993a6b36ce5c3c7eabf541c7c62b95c9eebe3ca0",
+        "metrics.csv": "a32edafb7be3da538a45d1670b6d7b00622adac0e21543d117dc863d9b86e4fc",
     },
     "mrda": {
-        "trajectory.jsonl": "c3c6e9c31b9be944707a068a09ee442ed2834479cf3f31e21f2d52334e81d2b1",
-        "metrics.csv": "cf2cad451ffbfabe5628e14b80438a52afae040113f71349ef814f19779df0c6",
+        "trajectory.jsonl": "198b53d4cb8a1267a99693e1993a6b36ce5c3c7eabf541c7c62b95c9eebe3ca0",
+        "metrics.csv": "a32edafb7be3da538a45d1670b6d7b00622adac0e21543d117dc863d9b86e4fc",
     },
     "vvda": {
-        "trajectory.jsonl": "5e1ef3828870cffa7a935497cbe86034ea618e5621145197e149cf05554f16cd",
-        "metrics.csv": "56ea7f1500df8ede0e1d8cc1f7dcdfa42d741250d0498794d1a82bf368eaf9d9",
+        "trajectory.jsonl": "acf45db18548146e3fcbeb1deb0385114a23d902db931ab864e485c3c4df90fa",
+        "metrics.csv": "4e32f5cf90b4e8c9cb929d7f09a1f6a7adf4de8d52ce9be24b22c993bd42a532",
     },
 }
-COMPARE = {"comparison.csv": "6bfc2993bc455ca28d38a7741ab247edf29f54522d1dc2235d085af1ea283e08"}
+COMPARE = {"comparison.csv": "f20dde351854bdc752454b97ebc7f4cd533156daa238919734dae95865749b08"}
 TRAIN = {
-    "metrics.csv": "7da838994c0fa7c333fb907a36e6176d7ae5b98d43c78771312e662a4af3ff04",
-    "checkpoint.json": "c0b425277df2ca97e453457a7f5dbddf39e3fa35cdf25e6d4a190388f0cae2a9",
+    "metrics.csv": "3d601436977b98580a62a808e68a2eebde2d2af75e0b8ae51c7008565112356b",
+    "checkpoint.json": "742fdfc6759f462e846dce4623d1a561f0f23f4bc8449535d11af705a3a94a24",
 }
 # 10 episodes in update rounds of 4, 4 and a partial 2, with small nets.
 TRAIN_ROUNDS = {
-    "metrics.csv": "59664148ebd2882b5ffccc399c7a2427740db77c285bc154dfbb30c55f3b1125",
-    "checkpoint.json": "c13c98e664142880d4dc452dc8ac685d2e7f68986a9a41ded24d3668b66b689e",
+    "metrics.csv": "471ec6633e84ae74b5d52a73842ccad76499510870d17023baf36156aee557cd",
+    "checkpoint.json": "65d3595326df74f262e1aa3bd2b20cedbd90d582b0e4b1e72d5c7ff5b4e1bd82",
 }
 TRAIN_ROUNDS_LEARNER = {
     "episodes_per_update": 4,
@@ -66,12 +66,12 @@ TRAIN_ROUNDS_LEARNER = {
 # by 16, one episode; these exercise the n=64 paths of the environment.
 FLEET64 = {
     "jpq": {
-        "trajectory.jsonl": "11d1af684255863f66368e056594a3e28698e0557503837a13517688cb067cbc",
-        "metrics.csv": "db77c35cd9b7adcc6a6ca6e45745ea3d004fd88a121958fe0694e30147adc37c",
+        "trajectory.jsonl": "29380bde563e27f1702076fdd87e2fc80fc8a3a857d8d91ac832890df36940d5",
+        "metrics.csv": "fa23962940c63094e3e015487f1867aafc4b74f9865c08e83727144a08bf4f7c",
     },
     "vvda": {
-        "trajectory.jsonl": "314dbfe2bed65cfec5eb5f3903f65d1b5a28f05b5c0efb9f4a0b3dda0f0e775a",
-        "metrics.csv": "e13fa322d3664e4249a0ae0aea0a57941d82d8c52c1620bf18e6e5ff52b541f3",
+        "trajectory.jsonl": "f7761e2ea2aa4e52f202dda76d9aeda16641a80055badce1e13f335402ddcb5d",
+        "metrics.csv": "51bc269d660afce06b5985903be388313314ba9d5b096879d853850c3a2f2ccf",
     },
 }
 BOOK = {

@@ -230,6 +230,19 @@ class TestSquashedGaussian:
         )
         assert rollout_logp == pytest.approx(float(taped_logp.data[0]))
 
+    def test_rollout_and_taped_log_probs_are_bitwise_equal(self):
+        # one formula: the update re-derives exactly the rollout's logp_old
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            log_std = rng.uniform(LOG_STD_MIN, LOG_STD_MAX, 3)
+            means = rng.normal(size=(100, 3))
+            u = means + np.exp(log_std) * rng.standard_normal((100, 3))
+            rollout = [DiagGaussian(m, log_std).log_prob(x) for m, x in zip(means, u)]
+            taped, _ = policy_logp_and_entropy(
+                Tensor(means[None]), Tensor(log_std), u[None]
+            )
+            assert taped.data[0].tolist() == rollout
+
     def test_entropy_closed_form(self):
         log_std = np.array([-0.5, 0.0, 0.3])
         _, entropy = policy_logp_and_entropy(
