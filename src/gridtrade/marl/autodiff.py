@@ -50,17 +50,20 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # depth-first post-order over the nodes that need a gradient; an
+        # explicit stack, so the tape is freed as soon as this call returns
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))] if self.requires_grad else []
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen and p.requires_grad:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         grads = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
@@ -128,11 +131,16 @@ class Tensor:
         )
 
     def __matmul__(self, other):
+        """Matrix product over the last two axes, batched over any leading
+        ones; a gradient is only formed for an operand that needs it."""
         other = as_tensor(other)
         return Tensor(
             self.data @ other.data,
             _parents=(self, other),
-            _backward=lambda g: (g @ other.data.T, self.data.T @ g),
+            _backward=lambda g: (
+                g @ other.data.swapaxes(-1, -2) if self.requires_grad else None,
+                self.data.swapaxes(-1, -2) @ g if other.requires_grad else None,
+            ),
         )
 
     def reshape(self, *shape):
@@ -257,57 +265,62 @@ def lstm_cell(z: np.ndarray, c: np.ndarray):
 
 
 def lstm_seq(x, Wx: Tensor, Wh: Tensor, b: Tensor) -> Tensor:
-    """Zero-initialised single-layer LSTM over a batch of whole sequences.
+    """Zero-initialised single-layer LSTMs, one per agent, over batches of
+    whole sequences.
 
-    x is (E, T, D): E independent sequences of T steps. Returns the hidden
-    states (E, T, H) as one tape node; gate order is i, f, g, o and each
-    step computes z = x_t Wx + h_{t-1} Wh + b. The backward pass is
-    hand-written backpropagation through time: the recurrence runs as a
-    T-step loop over (E, H) arrays, and the weight gradients are one matmul
-    each over all E*T steps.
+    x is (n, E, T, D): agent k's E independent sequences of T steps, run
+    through agent k's weights Wx[k] (D, 4H), Wh[k] (H, 4H) and b[k] (1, 4H).
+    Returns the hidden states (n, E, T, H) as one tape node; gate order is
+    i, f, g, o and each step computes z = x_t Wx + h_{t-1} Wh + b. The
+    backward pass is hand-written backpropagation through time: the
+    recurrence runs as one T-step loop over (n, E, H) arrays for the whole
+    fleet, and each weight gradient is one batched matmul over all E*T
+    steps of every agent.
     """
     x = as_tensor(x)
     wx, wh = Wx.data, Wh.data
-    E, T, D = x.data.shape
-    H = wh.shape[0]
-    xw = (x.data.reshape(E * T, D) @ wx).reshape(E, T, 4 * H)
-    gates = np.empty((E, T, 4 * H))     # activated i, f, g, o
-    cells = np.empty((E, T, H))
-    tanh_c = np.empty((E, T, H))
-    hs = np.empty((E, T, H))
-    h = np.zeros((E, H))
-    c = np.zeros((E, H))
+    n, E, T, D = x.data.shape
+    H = wh.shape[-2]
+    x_flat = x.data.reshape(n, E * T, D)
+    xw = (x_flat @ wx).reshape(n, E, T, 4 * H)
+    gates = np.empty((n, E, T, 4 * H))     # activated i, f, g, o
+    cells = np.empty((n, E, T, H))
+    tanh_c = np.empty((n, E, T, H))
+    hs = np.empty((n, E, T, H))
+    h = np.zeros((n, E, H))
+    c = np.zeros((n, E, H))
     for t in range(T):
-        gates[:, t], c, tanh_c[:, t], h = lstm_cell(xw[:, t] + h @ wh + b.data, c)
-        cells[:, t] = c
-        hs[:, t] = h
+        gates[:, :, t], c, tanh_c[:, :, t], h = lstm_cell(xw[:, :, t] + h @ wh + b.data, c)
+        cells[:, :, t] = c
+        hs[:, :, t] = h
 
     def back(dhs):
-        dz = np.empty((E, T, 4 * H))
-        dh_next = np.zeros((E, H))
-        dc_next = np.zeros((E, H))
+        dz = np.empty((n, E, T, 4 * H))
+        dh_next = np.zeros((n, E, H))
+        dc_next = np.zeros((n, E, H))
+        wh_t = wh.swapaxes(-1, -2)
         for t in range(T - 1, -1, -1):
-            act = gates[:, t]
-            i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
-            tc = tanh_c[:, t]
-            c_prev = cells[:, t - 1] if t > 0 else 0.0
-            dh = dhs[:, t] + dh_next
+            act = gates[:, :, t]
+            i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
+            tc = tanh_c[:, :, t]
+            c_prev = cells[:, :, t - 1] if t > 0 else 0.0
+            dh = dhs[:, :, t] + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
-            d = dz[:, t]
-            d[:, :H] = dc * g * i * (1.0 - i)
-            d[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
-            d[:, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
-            d[:, 3 * H :] = dh * tc * o * (1.0 - o)
+            d = dz[:, :, t]
+            d[..., :H] = dc * g * i * (1.0 - i)
+            d[..., H : 2 * H] = dc * c_prev * f * (1.0 - f)
+            d[..., 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+            d[..., 3 * H :] = dh * tc * o * (1.0 - o)
             dc_next = dc * f
-            dh_next = d @ wh.T
-        dz_flat = dz.reshape(E * T, 4 * H)
-        h_prev = np.concatenate([np.zeros((E, 1, H)), hs[:, :-1]], axis=1)
-        dx = (dz_flat @ wx.T).reshape(E, T, D) if x.requires_grad else None
+            dh_next = d @ wh_t
+        dz_flat = dz.reshape(n, E * T, 4 * H)
+        h_prev = np.concatenate([np.zeros((n, E, 1, H)), hs[:, :, :-1]], axis=2)
+        dx = (dz_flat @ wx.swapaxes(-1, -2)).reshape(n, E, T, D) if x.requires_grad else None
         return (
             dx,
-            x.data.reshape(E * T, D).T @ dz_flat,
-            h_prev.reshape(E * T, H).T @ dz_flat,
-            dz_flat.sum(axis=0),
+            x_flat.swapaxes(-1, -2) @ dz_flat,
+            h_prev.reshape(n, E * T, H).swapaxes(-1, -2) @ dz_flat,
+            dz_flat.sum(axis=1, keepdims=True),
         )
 
     return Tensor(hs, _parents=(x, Wx, Wh, b), _backward=back)

@@ -1,4 +1,10 @@
-"""Actor and critic networks built on the in-repo autodiff engine.
+"""Fleet actor and critic networks built on the in-repo autodiff engine.
+
+Each agent has its own actor and its own critic, but a network object
+holds them for the whole fleet: every weight is one array with a leading
+agent axis (n, ...), agent k's slice is agent k's layer, and each forward
+pass runs all n agents as one batched computation in which no agent's
+numbers touch another's. Biases and `log_std` are (n, 1, out).
 
 The policy embeds the observation sequence with a single-layer LSTM, runs a
 two-layer ReLU trunk, and outputs a diagonal Gaussian squashed onto the
@@ -14,6 +20,7 @@ read the same parameter arrays, and both actor paths step the LSTM through
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -51,31 +58,39 @@ def gaussian_logp(u, mean, log_std, exp=np.exp):
 
 
 class DiagGaussian:
-    """Squashed diagonal Gaussian over the action box (numpy, rollout side)."""
+    """Squashed diagonal Gaussians over the action box, one per row of
+    `mean` (numpy, rollout side)."""
 
     def __init__(self, mean: np.ndarray, log_std: np.ndarray):
         self.mean = mean
         self.log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
-    def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (action in box, pre-squash value)."""
-        u = self.mean + np.exp(self.log_std) * rng.standard_normal(self.mean.shape)
+    def sample(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (actions in box, pre-squash values); row k's normals come
+        from `rngs[k]`."""
+        dim = self.mean.shape[-1]
+        noise = np.stack([rng.standard_normal(dim) for rng in rngs])
+        u = self.mean + np.exp(self.log_std) * noise
         return squash(u), u
 
-    def log_prob(self, u: np.ndarray) -> float:
-        """Log density of the squashed action identified by its pre-squash value."""
-        return float(gaussian_logp(u, self.mean, self.log_std) - squash_correction(u))
+    def log_prob(self, u: np.ndarray) -> np.ndarray:
+        """Each row's log density of the squashed action identified by its
+        pre-squash value."""
+        return gaussian_logp(u, self.mean, self.log_std) - squash_correction(u)
 
 
 class Linear:
-    """Dense layer. The small positive bias keeps ReLU units (and their
-    downstream pre-activations) off exact zero, avoiding dead units and
-    keeping finite-difference gradient checks on smooth ground."""
+    """Dense layers, one per agent: W (n, in, out), b (n, 1, out). The small
+    positive bias keeps ReLU units (and their downstream pre-activations)
+    off exact zero, avoiding dead units and keeping finite-difference
+    gradient checks on smooth ground."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, scale: float = 1.0):
+    def __init__(self, in_dim: int, out_dim: int, rngs: Sequence[np.random.Generator],
+                 scale: float = 1.0):
         std = scale / math.sqrt(in_dim)
-        self.W = Tensor(rng.normal(0.0, std, (in_dim, out_dim)), requires_grad=True)
-        self.b = Tensor(np.full(out_dim, 0.01), requires_grad=True)
+        self.W = Tensor(np.stack([rng.normal(0.0, std, (in_dim, out_dim)) for rng in rngs]),
+                        requires_grad=True)
+        self.b = Tensor(np.full((len(rngs), 1, out_dim), 0.01), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.W + self.b
@@ -88,17 +103,19 @@ class Linear:
 
 
 class LSTMCell:
-    """Single-layer LSTM parameters; gate order i, f, g, o with +1 forget-gate
-    bias. The step itself is `autodiff.lstm_cell`."""
+    """Single-layer LSTM parameters, one set per agent; gate order i, f, g, o
+    with +1 forget-gate bias. The step itself is `autodiff.lstm_cell`."""
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, hidden: int, rngs: Sequence[np.random.Generator]):
         self.hidden = hidden
         std_x = 1.0 / math.sqrt(in_dim)
         std_h = 1.0 / math.sqrt(hidden)
-        self.Wx = Tensor(rng.normal(0.0, std_x, (in_dim, 4 * hidden)), requires_grad=True)
-        self.Wh = Tensor(rng.normal(0.0, std_h, (hidden, 4 * hidden)), requires_grad=True)
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0
+        self.Wx = Tensor(np.stack([rng.normal(0.0, std_x, (in_dim, 4 * hidden)) for rng in rngs]),
+                         requires_grad=True)
+        self.Wh = Tensor(np.stack([rng.normal(0.0, std_h, (hidden, 4 * hidden)) for rng in rngs]),
+                         requires_grad=True)
+        bias = np.zeros((len(rngs), 1, 4 * hidden))
+        bias[..., hidden : 2 * hidden] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
     def params(self):
@@ -106,7 +123,8 @@ class LSTMCell:
 
 
 class PolicyNet:
-    """Recurrent actor: LSTM encoder, ReLU trunk, Gaussian heads."""
+    """Recurrent actors, one per agent: LSTM encoder, ReLU trunk, Gaussian
+    heads. Agent k's weights are drawn from `rngs[k]`."""
 
     def __init__(
         self,
@@ -116,18 +134,20 @@ class PolicyNet:
         trunk_hidden: tuple[int, int] = (64, 64),
         log_std_init: float = -0.5,
         mean_bias_init: tuple | None = None,
-        rng: np.random.Generator | None = None,
+        rngs: Sequence[np.random.Generator] | None = None,
     ):
-        rng = rng or np.random.default_rng(0)
+        rngs = rngs or [np.random.default_rng(0)]
+        self.n_agents = len(rngs)
         self.obs_dim = obs_dim
         self.action_dim = action_dim
-        self.lstm = LSTMCell(obs_dim, lstm_hidden, rng)
-        self.fc1 = Linear(lstm_hidden, trunk_hidden[0], rng)
-        self.fc2 = Linear(trunk_hidden[0], trunk_hidden[1], rng)
-        self.mean_head = Linear(trunk_hidden[1], action_dim, rng, scale=0.01)
+        self.lstm = LSTMCell(obs_dim, lstm_hidden, rngs)
+        self.fc1 = Linear(lstm_hidden, trunk_hidden[0], rngs)
+        self.fc2 = Linear(trunk_hidden[0], trunk_hidden[1], rngs)
+        self.mean_head = Linear(trunk_hidden[1], action_dim, rngs, scale=0.01)
         if mean_bias_init is not None:
-            self.mean_head.b.data = np.asarray(mean_bias_init, dtype=np.float64).copy()
-        self.log_std = Tensor(np.full(action_dim, log_std_init), requires_grad=True)
+            self.mean_head.b.data[...] = np.asarray(mean_bias_init, dtype=np.float64)
+        self.log_std = Tensor(np.full((self.n_agents, 1, action_dim), log_std_init),
+                              requires_grad=True)
 
     def params(self):
         return (
@@ -139,79 +159,86 @@ class PolicyNet:
         )
 
     def initial_hidden(self) -> tuple[np.ndarray, np.ndarray]:
-        H = self.lstm.hidden
-        return np.zeros((1, H)), np.zeros((1, H))
+        shape = (self.n_agents, 1, self.lstm.hidden)
+        return np.zeros(shape), np.zeros(shape)
 
     def forward_seq(self, obs_seq: np.ndarray) -> tuple[Tensor, Tensor]:
         """Taped forward over whole episode sequences, hidden state zeroed at
         each episode start.
 
-        `obs_seq` is one episode (T, obs_dim) or a stack of E episodes
-        (E, T, obs_dim). Returns (means of shape (T, action_dim) or
-        (E, T, action_dim), clamped log_std (action_dim,)).
+        `obs_seq` is (n, E, T, obs_dim): agent k's E episodes. Returns
+        (means (n, E, T, action_dim), clamped log_std (n, 1, 1, action_dim)).
         """
         obs = np.asarray(obs_seq, dtype=np.float64)
-        batch = obs.reshape(-1, *obs.shape[-2:])
-        E, T, _ = batch.shape
+        n, E, T, _ = obs.shape
         lstm = self.lstm
-        feats = lstm_seq(batch, lstm.Wx, lstm.Wh, lstm.b).reshape(E * T, lstm.hidden)
+        feats = lstm_seq(obs, lstm.Wx, lstm.Wh, lstm.b).reshape(n, E * T, lstm.hidden)
         z = relu(self.fc1(feats))
         z = relu(self.fc2(z))
-        means = self.mean_head(z).reshape(*obs.shape[:-1], self.action_dim)
-        return means, clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        means = self.mean_head(z).reshape(n, E, T, self.action_dim)
+        log_std = clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        return means, log_std.reshape(n, 1, 1, self.action_dim)
 
     def distribution(
-        self, obs_vec: np.ndarray, hidden: tuple[np.ndarray, np.ndarray]
+        self, obs: np.ndarray, hidden: tuple[np.ndarray, np.ndarray]
     ) -> tuple[DiagGaussian, tuple[np.ndarray, np.ndarray]]:
-        """No-grad single-step forward used during rollouts."""
+        """No-grad single-step forward used during rollouts: row k of the
+        (n, obs_dim) observations through agent k's actor."""
         lstm, (h, c) = self.lstm, hidden
-        z = obs_vec.reshape(1, -1) @ lstm.Wx.data + h @ lstm.Wh.data + lstm.b.data
+        z = obs[:, None, :] @ lstm.Wx.data + h @ lstm.Wh.data + lstm.b.data
         _, c, _, h = lstm_cell(z, c)
         z = np.maximum(self.fc1.fast(h), 0.0)
         z = np.maximum(self.fc2.fast(z), 0.0)
-        mean = self.mean_head.fast(z)[0]
-        return DiagGaussian(mean, self.log_std.data), (h, c)
+        mean = self.mean_head.fast(z)[:, 0]
+        return DiagGaussian(mean, self.log_std.data[:, 0]), (h, c)
 
 
 class CriticNet:
-    """Centralized value network over all agents' concatenated observations."""
+    """Centralized value networks, one per agent, each over all agents'
+    concatenated observations. Agent k's weights are drawn from `rngs[k]`."""
 
     def __init__(
         self,
         input_dim: int,
         hidden: tuple[int, int] = (128, 64),
-        rng: np.random.Generator | None = None,
+        rngs: Sequence[np.random.Generator] | None = None,
     ):
-        rng = rng or np.random.default_rng(0)
+        rngs = rngs or [np.random.default_rng(0)]
         self.input_dim = input_dim
-        self.fc1 = Linear(input_dim, hidden[0], rng)
-        self.fc2 = Linear(hidden[0], hidden[1], rng)
-        self.head = Linear(hidden[1], 1, rng)
+        self.fc1 = Linear(input_dim, hidden[0], rngs)
+        self.fc2 = Linear(hidden[0], hidden[1], rngs)
+        self.head = Linear(hidden[1], 1, rngs)
 
     def params(self):
         return self.fc1.params() + self.fc2.params() + self.head.params()
 
     def forward(self, x: np.ndarray) -> Tensor:
+        """Taped values (n, B, 1) of the (B, input_dim) inputs, every agent's
+        critic reading the same rows."""
         z = relu(self.fc1(Tensor(x)))
         z = relu(self.fc2(z))
         return self.head(z)
 
     def value(self, x: np.ndarray) -> np.ndarray:
+        """No-grad values (n, B) of the (B, input_dim) or (input_dim,) inputs."""
         z = np.maximum(self.fc1.fast(np.atleast_2d(x)), 0.0)
         z = np.maximum(self.fc2.fast(z), 0.0)
-        return (z @ self.head.W.data + self.head.b.data)[:, 0]
+        return self.head.fast(z)[..., 0]
 
 
-def flatten_params(params: list[Tensor]) -> np.ndarray:
-    return np.concatenate([p.data.ravel() for p in params])
+def flatten_params(params: list[Tensor], agent: int) -> np.ndarray:
+    """Agent `agent`'s slice of every parameter, raveled and concatenated in
+    parameter order."""
+    return np.concatenate([p.data[agent].ravel() for p in params])
 
 
-def load_flat_params(params: list[Tensor], flat: np.ndarray) -> None:
-    size = sum(p.data.size for p in params)
+def load_flat_params(params: list[Tensor], agent: int, flat: np.ndarray) -> None:
+    """Write a `flatten_params` vector back into agent `agent`'s slices."""
+    size = sum(p.data[agent].size for p in params)
     if flat.size != size:
         raise ValueError(f"flat parameter vector has {flat.size} values, the net has {size}")
     offset = 0
     for p in params:
-        n = p.data.size
-        p.data = flat[offset : offset + n].reshape(p.data.shape).copy()
-        offset += n
+        k = p.data[agent].size
+        p.data[agent] = flat[offset : offset + k].reshape(p.data.shape[1:])
+        offset += k

@@ -48,8 +48,10 @@ def compute_gae(
 
 
 def normalize_advantages(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+    """Zero mean and unit spread along the last axis; each leading row (an
+    agent's minibatch) is normalized on its own."""
     adv = np.asarray(adv, dtype=np.float64)
-    return (adv - adv.mean()) / (adv.std() + eps)
+    return (adv - adv.mean(axis=-1, keepdims=True)) / (adv.std(axis=-1, keepdims=True) + eps)
 
 
 def actor_loss(
@@ -62,12 +64,14 @@ def actor_loss(
 ) -> Tensor:
     """Clipped PPO surrogate with entropy bonus, to be minimized.
 
-    -(1/B) sum[min(rho * A, clip(rho, 1-eps, 1+eps) * A)] - c * H.
+    -(1/B) sum[min(rho * A, clip(rho, 1-eps, 1+eps) * A)] - c * H, with the
+    mean over the last axis: (B,) inputs give one loss, (n, B) inputs and
+    an (n,) entropy give each agent's loss.
     """
     ratio = exp(logp_new - as_tensor(logp_old))
     adv = as_tensor(advantages)
     surrogate = minimum(ratio * adv, clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv)
-    return -(surrogate.mean() + entropy_coef * entropy)
+    return -(surrogate.mean(axis=-1) + entropy_coef * entropy)
 
 
 def policy_logp_and_entropy(
@@ -76,26 +80,28 @@ def policy_logp_and_entropy(
     """Taped log-probabilities of stored pre-squash actions, plus entropy.
 
     `means` and `presquash` share their shape (..., action_dim); the
-    log-probabilities have the leading shape. The tanh-squash Jacobian depends only on the stored sample, so it is a
-    constant offset: it keeps reported log-probs consistent with rollout
-    values without contributing gradient. Entropy is the closed form of
-    the pre-squash Gaussian.
+    log-probabilities have the leading shape. The tanh-squash Jacobian
+    depends only on the stored sample, so it is a constant offset: it keeps
+    reported log-probs consistent with rollout values without contributing
+    gradient. Entropy is the closed form of the pre-squash Gaussian, one
+    value per `log_std` row (its shape without the action axis).
     """
     u = np.asarray(presquash, dtype=np.float64)
     logp = gaussian_logp(as_tensor(u), means, log_std, exp) - as_tensor(squash_correction(u))
-    entropy = (log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))).sum()
+    entropy = (log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))).sum(axis=-1)
     return logp, entropy
 
 
 def critic_loss(values: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean squared error between predicted values and GAE targets."""
-    t = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if values.data.reshape(-1).shape != t.shape:
+    """Mean squared error between predicted values and GAE targets over the
+    targets' last axis: (B,) targets give one loss, (n, B) each agent's."""
+    t = np.asarray(targets, dtype=np.float64)
+    if values.data.size != t.size:
         raise ShapeMismatch(
             f"values {values.data.shape} vs targets {t.shape}"
         )
-    diff = values - as_tensor(t.reshape(values.data.shape))
-    return (diff * diff).mean()
+    diff = values.reshape(*t.shape) - as_tensor(t)
+    return (diff * diff).mean(axis=-1)
 
 
 def sgd_update(params: list[Tensor], grads: list[np.ndarray], lr: float) -> list[Tensor]:
@@ -123,18 +129,28 @@ class Adam:
         self.t = 0
 
     def step(self):
+        """p <- p - lr * m_hat / (sqrt(v_hat) + eps), with the moments
+        updated in place; every product and sum rounds as in the textbook
+        expression."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            update = m / b1t
+            update *= self.lr
+            denom = np.sqrt(v / b2t)
+            denom += self.eps
+            update /= denom
+            p.data = p.data - update
 
     def zero_grad(self):
         for p in self.params:

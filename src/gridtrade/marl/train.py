@@ -4,10 +4,14 @@ Each episode is one simulated day, run by `env.rollout_day`. Actions are
 sampled from per-agent recurrent policies on local observations (rows of
 the fleet's observation matrix); per-agent critics see the concatenation
 of every agent's observation vector (centralized training, decentralized
-execution). Each episode is buffered as (T, n, ...) fleet arrays; an update
-round stacks its episodes once, advantage-labels every (episode, agent)
-column with GAE and replays them for several epochs of clipped-surrogate
-updates, with advantages normalized per minibatch.
+execution). The fleet is the unit of the learner: one `PolicyNet` and one
+`CriticNet` hold every agent's weights along a leading agent axis, so each
+hour of a rollout and each minibatch of an update runs every agent's
+actor and critic as one batched computation. Each episode is buffered as
+(T, n, ...) fleet arrays; an update round stacks its episodes once,
+advantage-labels every (episode, agent) column with GAE and replays them
+for several epochs of clipped-surrogate updates, with advantages
+normalized per agent and minibatch.
 
 Everything is deterministic given (env config, hyperparameters, seed):
 network init, action sampling, minibatch shuffling, and the environment
@@ -16,6 +20,7 @@ itself all draw from explicitly keyed streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,16 @@ TAG_INIT = 1002
 TAG_SHUFFLE = 1003
 
 
+def _real(value) -> bool:
+    """A finite int or float; a bool or a string is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require_whole(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Learner settings; defaults are the desk-scale preset."""
@@ -77,14 +92,29 @@ class Hyperparams:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0 and 0.0 < self.lam < 1.0):
             raise ValueError("gamma and lam must lie in (0, 1)")
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be positive")
-        if self.epochs < 1 or self.episodes < 0:
-            raise ValueError("epochs/episodes out of range")
-        if self.minibatch_size < 2:
-            raise ValueError("minibatch_size must be >= 2 (advantages are normalized per batch)")
-        if self.episodes_per_update < 1:
-            raise ValueError("episodes_per_update must be >= 1")
+        for name, least in (("epochs", 1), ("episodes", 0), ("episodes_per_update", 1),
+                            ("lstm_hidden", 1)):
+            _require_whole(name, getattr(self, name), least)
+        # advantages are normalized per minibatch, which needs two steps
+        _require_whole("minibatch_size", self.minibatch_size, 2)
+        for name in ("actor_hidden", "critic_hidden"):
+            sizes = getattr(self, name)
+            if len(sizes) != 2:
+                raise ValueError(f"{name} must hold 2 layer sizes, got {sizes!r}")
+            for size in sizes:
+                _require_whole(name, size, 1)
+        for name in ("clip_eps", "lr_actor", "lr_critic", "reward_scale"):
+            if not _real(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive finite number, "
+                                 f"got {getattr(self, name)!r}")
+        if not _real(self.entropy_coef) or self.entropy_coef < 0:
+            raise ValueError(f"entropy_coef must be a finite number >= 0, "
+                             f"got {self.entropy_coef!r}")
+        if not _real(self.log_std_init):
+            raise ValueError(f"log_std_init must be a finite number, got {self.log_std_init!r}")
+        if len(self.action_bias) != ACTION_DIM or not all(map(_real, self.action_bias)):
+            raise ValueError(f"action_bias must hold {ACTION_DIM} finite numbers, "
+                             f"got {self.action_bias!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}"
@@ -139,43 +169,46 @@ class ObsNormalizer:
 
 
 @dataclass
-class AgentNets:
+class FleetNets:
+    """Every agent's actor and critic, each stacked along a leading agent axis."""
+
     actor: PolicyNet
     critic: CriticNet
 
 
 @dataclass
 class TrainResult:
-    nets: list[AgentNets]
+    nets: FleetNets
     metrics: list[dict]
     episodes_done: int
 
 
-def build_nets(config: EnvConfig, hyper: Hyperparams, seed: int) -> list[AgentNets]:
+def build_nets(config: EnvConfig, hyper: Hyperparams, seed: int) -> FleetNets:
+    """The fleet's freshly initialised nets: agent i's actor slice draws from
+    (seed, TAG_INIT, i, 0), its critic slice from (seed, TAG_INIT, i, 1)."""
     obs_dim = observation_dim(config)
-    global_dim = obs_dim * config.n_agents
-    nets = []
-    for i in range(config.n_agents):
-        actor = PolicyNet(
-            obs_dim,
-            lstm_hidden=hyper.lstm_hidden,
-            trunk_hidden=hyper.actor_hidden,
-            log_std_init=hyper.log_std_init,
-            mean_bias_init=hyper.action_bias,
-            rng=rng_stream(seed, TAG_INIT, i, 0),
-        )
-        critic = CriticNet(
-            global_dim, hidden=hyper.critic_hidden, rng=rng_stream(seed, TAG_INIT, i, 1)
-        )
-        nets.append(AgentNets(actor, critic))
-    return nets
+    agents = range(config.n_agents)
+    actor = PolicyNet(
+        obs_dim,
+        lstm_hidden=hyper.lstm_hidden,
+        trunk_hidden=hyper.actor_hidden,
+        log_std_init=hyper.log_std_init,
+        mean_bias_init=hyper.action_bias,
+        rngs=[rng_stream(seed, TAG_INIT, i, 0) for i in agents],
+    )
+    critic = CriticNet(
+        obs_dim * config.n_agents,
+        hidden=hyper.critic_hidden,
+        rngs=[rng_stream(seed, TAG_INIT, i, 1) for i in agents],
+    )
+    return FleetNets(actor, critic)
 
 
 def train(
     env_config: EnvConfig,
     hyper: Hyperparams,
     seed: int,
-    nets: list[AgentNets] | None = None,
+    nets: FleetNets | None = None,
     start_episode: int = 0,
 ) -> TrainResult:
     """Run the full training loop and return nets plus per-episode metrics.
@@ -189,14 +222,10 @@ def train(
     normalizer = ObsNormalizer(env_config)
     if nets is None:
         nets = build_nets(env_config, hyper, seed)
+    actor, critic = nets.actor, nets.critic
 
-    actor_opts = [
-        make_optimizer(hyper.optimizer, ag.actor.params(), hyper.lr_actor) for ag in nets
-    ]
-    critic_opts = [
-        make_optimizer(hyper.optimizer, ag.critic.params(), hyper.lr_critic)
-        for ag in nets
-    ]
+    actor_opt = make_optimizer(hyper.optimizer, actor.params(), hyper.lr_actor)
+    critic_opt = make_optimizer(hyper.optimizer, critic.params(), hyper.lr_critic)
     sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 
@@ -204,27 +233,23 @@ def train(
     pending: list[tuple] = []  # each episode's (T, n, ...) fleet arrays
     for ep_off in range(hyper.episodes):
         episode = start_episode + ep_off
-        hidden = [ag.actor.initial_hidden() for ag in nets]
+        hidden = actor.initial_hidden()
         hours = []  # each hour's normalized observations, presquash samples, logp, values
 
         def act(hour, obs):
+            nonlocal hidden
             norm_obs = normalizer(obs.as_matrix())
-            global_obs = norm_obs.reshape(-1)
-            actions, presquash = np.empty((n, ACTION_DIM)), np.empty((n, ACTION_DIM))
-            logp, values = np.empty(n), np.empty(n)
-            for i, ag in enumerate(nets):
-                dist, hidden[i] = ag.actor.distribution(norm_obs[i], hidden[i])
-                actions[i], presquash[i] = dist.sample(sample_rngs[i])
-                logp[i] = dist.log_prob(presquash[i])
-                values[i] = ag.critic.value(global_obs)[0]
-            hours.append((norm_obs, presquash, logp, values))
+            dist, hidden = actor.distribution(norm_obs, hidden)
+            actions, presquash = dist.sample(sample_rngs)
+            values = critic.value(norm_obs.reshape(-1))[:, 0]
+            hours.append((norm_obs, presquash, dist.log_prob(presquash), values))
             return actions
 
         series = rollout_day(env, episode_seed(seed, episode), act)
         stacked = (np.stack(x) for x in zip(*hours))  # (T, n, ...)
         pending.append((*stacked, series[0] * hyper.reward_scale))
         if len(pending) >= hyper.episodes_per_update or ep_off == hyper.episodes - 1:
-            _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng)
+            _update_agents(nets, pending, actor_opt, critic_opt, hyper, shuffle_rng)
             pending = []
 
         metrics.append(episode_metrics(episode, *series))
@@ -232,15 +257,34 @@ def train(
     return TrainResult(nets=nets, metrics=metrics, episodes_done=start_episode + hyper.episodes)
 
 
-def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
+def _agent_rows(columns: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows `idx` of (steps, n) columns as C-contiguous (n, len(idx)) agent
+    rows, so each agent's reductions run over a contiguous last axis."""
+    return np.ascontiguousarray(columns[idx].T)
+
+
+def _minibatches(total: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) bounds of `total` shuffled steps cut into batches of `size`.
+
+    A one-step tail cannot be advantage-normalized, so it joins the batch
+    before it; a round of one step in all has no batch.
+    """
+    starts = list(range(0, total, size))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()
+    return [(lo, hi) for lo, hi in zip(starts, starts[1:] + [total]) if hi - lo > 1]
+
+
+def _update_agents(nets, pending, actor_opt, critic_opt, hyper, shuffle_rng):
     """One PPO update round over the buffered episodes.
 
     `pending` holds each episode's (normalized obs, presquash, logp, values,
     scaled rewards) fleet arrays, stacked here once into (E, T, n, ...).
-    GAE labels every (episode, agent) column in one call. Agent i trains on
-    the `[:, :, i]` slices: its recurrent actor re-runs over all E episodes
-    in one batched pass (hidden state resets at episode boundaries), and
-    every critic reads the same (E*T, n*obs_dim) global observations.
+    GAE labels every (episode, agent) column in one call. Each minibatch
+    re-runs every agent's recurrent actor over all E episodes in one
+    batched pass (hidden state resets at episode boundaries), and every
+    critic reads the same (E*T, n*obs_dim) global observations. One
+    backward pass and one optimizer step per role update the whole fleet.
     Minibatches index into the steps flattened in episode order.
     """
     obs, presquash, logp_old, values, rewards = (np.stack(x) for x in zip(*pending))
@@ -252,31 +296,41 @@ def _update_agents(nets, pending, actor_opts, critic_opts, hyper, shuffle_rng):
     targets = (adv + values).reshape(E * T, n)
     adv, logp_old = adv.reshape(E * T, n), logp_old.reshape(E * T, n)
     global_obs = obs.reshape(E * T, -1)
+    # each agent's own episodes, (n, E, T, ...)
+    agent_obs = obs.transpose(2, 0, 1, 3)
+    agent_presquash = presquash.transpose(2, 0, 1, 3)
 
     total = E * T
-    mb = min(hyper.minibatch_size, total)
+    batches = _minibatches(total, min(hyper.minibatch_size, total))
     for _ in range(hyper.epochs):
         order = shuffle_rng.permutation(total)
-        for lo in range(0, total, mb):
-            idx = order[lo : lo + mb]
-            if idx.size < 2:
-                continue  # a singleton batch cannot be advantage-normalized
-            for i, ag in enumerate(nets):
-                means, log_std = ag.actor.forward_seq(obs[:, :, i])
-                logp, entropy = policy_logp_and_entropy(means, log_std, presquash[:, :, i])
-                loss = actor_loss(
-                    logp.reshape(-1)[idx],
-                    logp_old[idx, i],
-                    normalize_advantages(adv[idx, i]),
-                    entropy,
-                    hyper.clip_eps,
-                    hyper.entropy_coef,
-                )
-                actor_opts[i].zero_grad()
-                loss.backward()
-                actor_opts[i].step()
+        for lo, hi in batches:
+            idx = order[lo:hi]
+            # each role's tape lives only inside its `_descend` call
+            _descend(actor_opt, _actor_losses(
+                nets.actor, agent_obs, agent_presquash, _agent_rows(logp_old, idx),
+                normalize_advantages(_agent_rows(adv, idx)), idx, hyper,
+            ))
+            _descend(critic_opt, critic_loss(
+                nets.critic.forward(global_obs[idx]), _agent_rows(targets, idx)
+            ))
 
-                vloss = critic_loss(ag.critic.forward(global_obs[idx]), targets[idx, i])
-                critic_opts[i].zero_grad()
-                vloss.backward()
-                critic_opts[i].step()
+
+def _actor_losses(actor, obs, presquash, logp_old, adv, idx, hyper):
+    """Each agent's clipped-surrogate loss (n,) on minibatch `idx` of its
+    (n, E, T, ...) episodes."""
+    n, E, T = obs.shape[:3]
+    means, log_std = actor.forward_seq(obs)
+    logp, entropy = policy_logp_and_entropy(means, log_std, presquash)
+    return actor_loss(
+        logp.reshape(n, E * T)[:, idx], logp_old, adv, entropy.reshape(n),
+        hyper.clip_eps, hyper.entropy_coef,
+    )
+
+
+def _descend(opt, losses):
+    """One optimizer step on the sum of the per-agent losses: agents share no
+    weights, so each agent's slice gets exactly its own loss's gradient."""
+    opt.zero_grad()
+    losses.sum().backward()
+    opt.step()

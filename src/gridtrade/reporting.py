@@ -22,7 +22,7 @@ from . import __version__
 from .env import METRIC_NAMES, EnvConfig, episode_metrics, metrics_columns
 from .errors import ChecksumMismatch, IoError, UnknownFormat, file_errors
 from .marl.nets import flatten_params, load_flat_params
-from .marl.train import AgentNets, Hyperparams, build_nets
+from .marl.train import FleetNets, Hyperparams, build_nets
 
 
 def out_dir(path: str | Path) -> Path:
@@ -179,7 +179,7 @@ def _payload_checksum(payload: dict) -> str:
 
 def save_checkpoint(
     path: Path,
-    nets: list[AgentNets],
+    nets: FleetNets,
     hyper: Hyperparams,
     config_hash: str,
     seed: int,
@@ -197,10 +197,10 @@ def save_checkpoint(
         },
         "agents": [
             {
-                "actor": flatten_params(ag.actor.params()).tolist(),
-                "critic": flatten_params(ag.critic.params()).tolist(),
+                "actor": flatten_params(nets.actor.params(), k).tolist(),
+                "critic": flatten_params(nets.critic.params(), k).tolist(),
             }
-            for ag in nets
+            for k in range(nets.actor.n_agents)
         ],
     }
     # The payload is rendered once: the checksum is taken over the same
@@ -215,7 +215,7 @@ def save_checkpoint(
 
 def load_checkpoint(
     path: Path, env_config: EnvConfig, hyper: Hyperparams, seed: int
-) -> tuple[list[AgentNets], int]:
+) -> tuple[FleetNets, int]:
     """Restore nets from a checkpoint; returns (nets, next episode index)."""
     with file_errors(path, "read checkpoint"):
         text = Path(path).read_text()
@@ -248,12 +248,14 @@ def load_checkpoint(
             "checkpoint network sizes do not match the configured learner"
         )
     nets = build_nets(env_config, hyper, seed)
-    if len(agents) != len(nets):
-        raise ChecksumMismatch(f"checkpoint has {len(agents)} agents, config has {len(nets)}")
-    for i, (ag, blob) in enumerate(zip(nets, agents)):
-        for part, net in (("actor", ag.actor), ("critic", ag.critic)):
+    if len(agents) != env_config.n_agents:
+        raise ChecksumMismatch(
+            f"checkpoint has {len(agents)} agents, config has {env_config.n_agents}"
+        )
+    for i, blob in enumerate(agents):
+        for part, net in (("actor", nets.actor), ("critic", nets.critic)):
             try:
-                load_flat_params(net.params(), np.asarray(blob[part], dtype=np.float64))
+                load_flat_params(net.params(), i, np.asarray(blob[part], dtype=np.float64))
             except ValueError as e:
                 raise ChecksumMismatch(
                     f"checkpoint agent {i} {part} does not fit the configured nets: {e}"

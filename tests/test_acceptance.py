@@ -209,7 +209,7 @@ def test_c06_gradient_checks():
         rng = np.random.default_rng(300 + trial)
         net = PolicyNet(
             obs_dim=5, lstm_hidden=3, trunk_hidden=(4, 4),
-            rng=np.random.default_rng(400 + trial),
+            rngs=[np.random.default_rng(400 + trial)],
         )
         obs = rng.normal(size=(4, 5))
         presquash = rng.normal(size=(4, 3))
@@ -217,16 +217,16 @@ def test_c06_gradient_checks():
         adv = rng.normal(size=4)
 
         def actor_fn():
-            means, log_std = net.forward_seq(obs)
-            logp, entropy = policy_logp_and_entropy(means, log_std, presquash)
-            return actor_loss(logp, logp_old, adv, entropy, 0.2, 0.01)
+            means, log_std = net.forward_seq(obs[None, None])
+            logp, entropy = policy_logp_and_entropy(means, log_std, presquash[None, None])
+            return actor_loss(logp.reshape(4), logp_old, adv, entropy.reshape(()), 0.2, 0.01)
 
         report = gradient_check(net.params(), actor_fn, tol=1e-4)
         assert report.passed, f"actor net {trial}: rel error {report.max_rel_error}"
         worst_actor = max(worst_actor, report.max_rel_error)
 
         critic = CriticNet(input_dim=6, hidden=(5, 4),
-                           rng=np.random.default_rng(500 + trial))
+                           rngs=[np.random.default_rng(500 + trial)])
         x = rng.normal(size=(6, 6))
         targets = rng.normal(size=6)
 

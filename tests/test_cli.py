@@ -219,7 +219,7 @@ class TestTrain:
         restored, episode = load_checkpoint(path, cfg_env, hyper, seed=1)
         assert episode == 7
         np.testing.assert_array_equal(
-            restored[2].actor.lstm.Wx.data, nets[2].actor.lstm.Wx.data
+            restored.actor.lstm.Wx.data[2], nets.actor.lstm.Wx.data[2]
         )
 
     def test_spaced_envelope_format_still_loads(self, tmp_path):
@@ -238,10 +238,9 @@ class TestTrain:
         assert path.read_bytes() != compact
         restored, episode = load_checkpoint(path, cfg_env, hyper, seed=1)
         assert episode == 5
-        for got, want in zip(restored, nets):
-            for p, q in zip(got.actor.params() + got.critic.params(),
-                            want.actor.params() + want.critic.params()):
-                np.testing.assert_array_equal(p.data, q.data)
+        for p, q in zip(restored.actor.params() + restored.critic.params(),
+                        nets.actor.params() + nets.critic.params()):
+            np.testing.assert_array_equal(p.data, q.data)
 
 
 class TestExport:
@@ -462,3 +461,25 @@ class TestMalformedConfigValues:
         rc = main(argv)
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("learner", [
+        {"lstm_hidden": 0},
+        {"actor_hidden": [0, 8]},
+        {"critic_hidden": [8]},
+        {"action_bias": [1, 2]},
+        {"minibatch_size": 2.5},
+        {"lr_actor": float("nan")},
+        {"lr_actor": -1},
+        {"reward_scale": float("nan")},
+        {"log_std_init": float("inf")},
+        {"episodes_per_update": 2.5},
+    ], ids=["lstm-hidden-0", "actor-hidden-0", "critic-hidden-one-layer", "action-bias-2",
+            "minibatch-size-2.5", "lr-actor-nan", "lr-actor-negative", "reward-scale-nan",
+            "log-std-init-inf", "episodes-per-update-2.5"])
+    def test_bad_learner_value_exit_code_2(self, learner, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["train", "--config", write_cfg(tmp_path, learner=learner),
+                   "--episodes", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: learner: ")
+        assert not (out / "checkpoint.json").exists()

@@ -1,10 +1,22 @@
-"""Learner component tests: GAE, PPO losses, optimizers, networks."""
+"""Learner component tests: GAE, PPO losses, optimizers, networks, and
+the fleet learner against its per-agent reference."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from gridtrade.env import (
+    ACTION_DIM,
+    DEFAULT_FLEET,
+    EnvConfig,
+    TradingEnv,
+    episode_metrics,
+    episode_seed,
+    observation_dim,
+    rollout_day,
+)
 from gridtrade.errors import ShapeMismatch
 from gridtrade.marl.autodiff import Tensor, clip, concat, lstm_seq, relu, sigmoid, tanh
 from gridtrade.marl.nets import (
@@ -22,10 +34,24 @@ from gridtrade.marl.ppo import (
     compute_gae,
     critic_loss,
     gradient_check,
+    make_optimizer,
     normalize_advantages,
     policy_logp_and_entropy,
     sgd_update,
 )
+from gridtrade.marl.train import (
+    TAG_INIT,
+    TAG_SAMPLE,
+    TAG_SHUFFLE,
+    Hyperparams,
+    ObsNormalizer,
+    build_nets,
+    train,
+)
+from gridtrade.scenario import rng_stream
+
+# `gridtrade.marl` re-exports the `train` function under the submodule's name
+train_mod = importlib.import_module("gridtrade.marl.train")
 
 
 def gae_double_sum(rewards, values, bootstrap, gamma, lam):
@@ -222,13 +248,22 @@ class TestSquashedGaussian:
         rng = np.random.default_rng(5)
         mean = rng.normal(size=3)
         log_std = rng.uniform(-1, 0, 3)
-        dist = DiagGaussian(mean, log_std)
-        _, u = dist.sample(rng)
-        rollout_logp = dist.log_prob(u)
+        dist = DiagGaussian(mean.reshape(1, 3), log_std.reshape(1, 3))
+        _, u = dist.sample([rng])
+        rollout_logp = dist.log_prob(u)[0]
         taped_logp, _ = policy_logp_and_entropy(
-            Tensor(mean.reshape(1, 3)), Tensor(log_std), u.reshape(1, 3)
+            Tensor(mean.reshape(1, 3)), Tensor(log_std), u
         )
         assert rollout_logp == pytest.approx(float(taped_logp.data[0]))
+
+    def test_each_row_samples_from_its_own_stream(self):
+        mean = np.array([[0.1, -0.2, 0.3], [0.5, 0.0, -1.0]])
+        log_std = np.full((2, 3), -0.7)
+        _, u = DiagGaussian(mean, log_std).sample([np.random.default_rng(1),
+                                                   np.random.default_rng(2)])
+        for k, seed in enumerate((1, 2)):
+            noise = np.random.default_rng(seed).standard_normal(3)
+            np.testing.assert_array_equal(u[k], mean[k] + np.exp(log_std[k]) * noise)
 
     def test_rollout_and_taped_log_probs_are_bitwise_equal(self):
         # one formula: the update re-derives exactly the rollout's logp_old
@@ -256,7 +291,7 @@ def run_policy(net, obs_seq, hidden=None):
     """Step the rollout path over a sequence; final distribution and state."""
     hidden = net.initial_hidden() if hidden is None else hidden
     for obs in obs_seq:
-        dist, hidden = net.distribution(obs, hidden)
+        dist, hidden = net.distribution(obs[None], hidden)
     return dist, hidden
 
 
@@ -268,13 +303,13 @@ class TestPolicyNet:
         net = PolicyNet(obs_dim=6, lstm_hidden=4, trunk_hidden=(8, 8))
         for p in net.params():
             p.data = np.zeros_like(p.data)
-        dist, _ = net.distribution(np.zeros(6), net.initial_hidden())
-        np.testing.assert_allclose(squash(dist.mean), [0.0, 0.5, 0.5])
+        dist, _ = net.distribution(np.zeros((1, 6)), net.initial_hidden())
+        np.testing.assert_allclose(squash(dist.mean[0]), [0.0, 0.5, 0.5])
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
         net = PolicyNet(obs_dim=10, lstm_hidden=4, trunk_hidden=(8, 8),
-                        rng=np.random.default_rng(1))
+                        rngs=[np.random.default_rng(1)])
         seq = self.obs(rng)
         d1, _ = run_policy(net, seq)
         d2, _ = run_policy(net, seq)
@@ -283,17 +318,17 @@ class TestPolicyNet:
     def test_taped_and_fast_paths_agree(self):
         rng = np.random.default_rng(2)
         net = PolicyNet(obs_dim=7, lstm_hidden=5, trunk_hidden=(6, 6),
-                        rng=np.random.default_rng(3))
+                        rngs=[np.random.default_rng(3)])
         seq = self.obs(rng, T=6, dim=7)
-        means, _ = net.forward_seq(seq)
+        means, _ = net.forward_seq(seq[None, None])
         hidden = net.initial_hidden()
         for t in range(6):
-            dist, hidden = net.distribution(seq[t], hidden)
-        np.testing.assert_allclose(dist.mean, means.data[-1], atol=1e-12)
+            dist, hidden = net.distribution(seq[t][None], hidden)
+        np.testing.assert_allclose(dist.mean[0], means.data[0, 0, -1], atol=1e-12)
 
     def test_hidden_state_carries_memory(self):
         net = PolicyNet(obs_dim=3, lstm_hidden=4, trunk_hidden=(6, 6),
-                        rng=np.random.default_rng(9))
+                        rngs=[np.random.default_rng(9)])
         one = np.ones(3)
         d_fresh, _ = run_policy(net, one.reshape(1, 3))
         _, hidden = run_policy(net, np.full((4, 3), -1.0))
@@ -301,22 +336,46 @@ class TestPolicyNet:
         assert not np.allclose(d_fresh.mean, d_after.mean)
 
     def test_critic_batch_equivariance(self):
-        net = CriticNet(input_dim=8, hidden=(10, 10), rng=np.random.default_rng(4))
+        net = CriticNet(input_dim=8, hidden=(10, 10), rngs=[np.random.default_rng(4)])
         x = np.random.default_rng(5).normal(size=(6, 8))
         perm = np.array([3, 1, 5, 0, 2, 4])
-        np.testing.assert_allclose(net.value(x)[perm], net.value(x[perm]), atol=1e-12)
+        np.testing.assert_allclose(net.value(x)[0, perm], net.value(x[perm])[0], atol=1e-12)
 
     def test_per_agent_parameter_isolation(self):
-        from gridtrade.env import EnvConfig
-        from gridtrade.marl.train import Hyperparams, build_nets
+        # agents share no weights: another agent's data cannot move agent k's slice
+        hyper = Hyperparams(lstm_hidden=4, actor_hidden=(6, 6), critic_hidden=(8, 8),
+                            epochs=2, minibatch_size=20)
+        config = EnvConfig()
+        n, j = config.n_agents, 2
+        rng = np.random.default_rng(21)
+        E, T, D = 2, 24, observation_dim(config)
+        pending = [
+            (rng.normal(size=(T, n, D)), rng.normal(size=(T, n, ACTION_DIM)),
+             rng.normal(-2.0, 0.1, (T, n)), rng.normal(size=(T, n)), rng.normal(size=(T, n)))
+            for _ in range(E)
+        ]
+        perturbed = [tuple(a.copy() for a in episode) for episode in pending]
+        for _, presquash, logp_old, _, rewards in perturbed:
+            presquash[:, j] += 0.5
+            logp_old[:, j] -= 0.3
+            rewards[:, j] *= -2.0  # moves agent j's advantages and critic targets
 
-        nets = build_nets(EnvConfig(), Hyperparams(lstm_hidden=4, actor_hidden=(6, 6),
-                                                   critic_hidden=(8, 8)), seed=0)
-        seen = set()
-        for ag in nets:
-            for p in ag.actor.params() + ag.critic.params():
-                assert id(p) not in seen
-                seen.add(id(p))
+        def updated(episodes):
+            nets = build_nets(config, hyper, seed=0)
+            train_mod._update_agents(
+                nets, episodes,
+                make_optimizer("adam", nets.actor.params(), hyper.lr_actor),
+                make_optimizer("adam", nets.critic.params(), hyper.lr_critic),
+                hyper, np.random.default_rng(0),
+            )
+            return nets
+
+        base, moved = updated(pending), updated(perturbed)
+        for net in ("actor", "critic"):
+            for p, q in zip(getattr(base, net).params(), getattr(moved, net).params()):
+                for k in range(n):
+                    same = p.data[k].tobytes() == q.data[k].tobytes()
+                    assert same == (k != j), (net, k)
 
 
 class TestGradientCheck:
@@ -335,16 +394,16 @@ class TestGradientCheck:
     def test_policy_and_critic_losses_on_recurrent_net(self):
         rng = np.random.default_rng(1)
         net = PolicyNet(obs_dim=5, lstm_hidden=3, trunk_hidden=(4, 4),
-                        rng=np.random.default_rng(2))
+                        rngs=[np.random.default_rng(2)])
         obs = rng.normal(size=(4, 5))
         presquash = rng.normal(size=(4, 3))
         logp_old = rng.normal(size=4)
         adv = rng.normal(size=4)
 
         def loss_fn():
-            means, log_std = net.forward_seq(obs)
-            logp, entropy = policy_logp_and_entropy(means, log_std, presquash)
-            return actor_loss(logp, logp_old, adv, entropy, 0.2, 0.01)
+            means, log_std = net.forward_seq(obs[None, None])
+            logp, entropy = policy_logp_and_entropy(means, log_std, presquash[None, None])
+            return actor_loss(logp.reshape(4), logp_old, adv, entropy.reshape(()), 0.2, 0.01)
 
         report = gradient_check(net.params(), loss_fn, tol=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
@@ -364,15 +423,17 @@ class TestGradientCheck:
 
 
 def per_step_means(net, episodes):
-    """Reference actor forward: one taped LSTM step per episode and hour,
-    built from elementwise autodiff primitives."""
+    """Reference actor forward of a one-agent net: one taped LSTM step per
+    episode and hour, built from elementwise autodiff primitives."""
     lstm, H = net.lstm, net.lstm.hidden
+    Wx, Wh = lstm.Wx.reshape(*lstm.Wx.shape[1:]), lstm.Wh.reshape(H, 4 * H)
+    b = lstm.b.reshape(4 * H)
     hiddens = []
     for seq in episodes:
         h = Tensor(np.zeros((1, H)))
         c = Tensor(np.zeros((1, H)))
         for t in range(seq.shape[0]):
-            z = Tensor(seq[t : t + 1]) @ lstm.Wx + h @ lstm.Wh + lstm.b
+            z = Tensor(seq[t : t + 1]) @ Wx + h @ Wh + b
             i = sigmoid(z[:, 0:H])
             f = sigmoid(z[:, H : 2 * H])
             g = tanh(z[:, 2 * H : 3 * H])
@@ -380,7 +441,7 @@ def per_step_means(net, episodes):
             c = f * c + i * g
             h = o * tanh(c)
             hiddens.append(h)
-    z = relu(net.fc1(concat(hiddens, axis=0)))
+    z = relu(net.fc1(concat(hiddens, axis=0).reshape(1, len(hiddens), H)))
     z = relu(net.fc2(z))
     return net.mean_head(z)
 
@@ -389,11 +450,11 @@ class TestLstmSeq:
     def test_batched_gradient_check(self):
         rng = np.random.default_rng(11)
         E, T, D, H = 3, 4, 5, 3
-        x = Tensor(rng.normal(size=(E, T, D)), requires_grad=True)
-        Wx = Tensor(rng.normal(0.0, 0.5, (D, 4 * H)), requires_grad=True)
-        Wh = Tensor(rng.normal(0.0, 0.5, (H, 4 * H)), requires_grad=True)
-        b = Tensor(rng.normal(0.0, 0.5, 4 * H), requires_grad=True)
-        weight = rng.normal(size=(E, T, H))
+        x = Tensor(rng.normal(size=(1, E, T, D)), requires_grad=True)
+        Wx = Tensor(rng.normal(0.0, 0.5, (1, D, 4 * H)), requires_grad=True)
+        Wh = Tensor(rng.normal(0.0, 0.5, (1, H, 4 * H)), requires_grad=True)
+        b = Tensor(rng.normal(0.0, 0.5, (1, 1, 4 * H)), requires_grad=True)
+        weight = rng.normal(size=(1, E, T, H))
 
         def loss_fn():
             out = lstm_seq(x, Wx, Wh, b)
@@ -405,19 +466,31 @@ class TestLstmSeq:
     def test_batched_rows_equal_per_episode_calls(self):
         rng = np.random.default_rng(12)
         net = PolicyNet(obs_dim=7, lstm_hidden=5, trunk_hidden=(6, 6),
-                        rng=np.random.default_rng(13))
+                        rngs=[np.random.default_rng(13)])
         episodes = rng.normal(size=(4, 6, 7))
-        means, _ = net.forward_seq(episodes)
-        assert means.shape == (4, 6, 3)
+        means, _ = net.forward_seq(episodes[None])
+        assert means.shape == (1, 4, 6, 3)
         for e in range(4):
-            single, _ = net.forward_seq(episodes[e])
-            np.testing.assert_allclose(means.data[e], single.data, rtol=1e-13, atol=1e-15)
+            single, _ = net.forward_seq(episodes[None, e : e + 1])
+            np.testing.assert_allclose(means.data[0, e], single.data[0, 0],
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_agent_rows_equal_one_agent_calls(self):
+        rng = np.random.default_rng(16)
+        n, E, T, D, H = 3, 2, 5, 4, 3
+        x = rng.normal(size=(n, E, T, D))
+        weights = [rng.normal(0.0, 0.5, shape) for shape in
+                   ((n, D, 4 * H), (n, H, 4 * H), (n, 1, 4 * H))]
+        fleet = lstm_seq(x, *(Tensor(w) for w in weights)).data
+        for k in range(n):
+            one = lstm_seq(x[k : k + 1], *(Tensor(w[k : k + 1]) for w in weights)).data
+            assert fleet[k].tobytes() == one[0].tobytes()
 
     def test_matches_per_step_reference_at_reference_size(self):
         rng = np.random.default_rng(14)
         E, T, D = 8, 24, 27
         net = PolicyNet(obs_dim=D, lstm_hidden=32, trunk_hidden=(64, 64),
-                        log_std_init=-0.7, rng=np.random.default_rng(15))
+                        log_std_init=-0.7, rngs=[np.random.default_rng(15)])
         obs = rng.normal(size=(E, T, D))
         presquash = rng.normal(size=(E, T, 3))
         logp_old = rng.normal(size=E * T) * 0.1 - 2.0
@@ -426,7 +499,7 @@ class TestLstmSeq:
 
         def loss_and_grads(means_fn):
             means = means_fn()
-            log_std = clip(net.log_std, LOG_STD_MIN, LOG_STD_MAX)
+            log_std = clip(net.log_std, LOG_STD_MIN, LOG_STD_MAX).reshape(3)
             logp, entropy = policy_logp_and_entropy(
                 means.reshape(E * T, 3), log_std, presquash.reshape(E * T, 3)
             )
@@ -436,7 +509,7 @@ class TestLstmSeq:
             loss.backward()
             return float(loss.data), [p.grad.copy() for p in net.params()]
 
-        fused_loss, fused = loss_and_grads(lambda: net.forward_seq(obs)[0])
+        fused_loss, fused = loss_and_grads(lambda: net.forward_seq(obs[None])[0])
         ref_loss, ref = loss_and_grads(lambda: per_step_means(net, obs))
         assert fused_loss == pytest.approx(ref_loss, rel=1e-12)
         for got, want in zip(fused, ref):
@@ -453,18 +526,157 @@ class TestEntropyCoefficientDirection:
 
         def entropy_after(coef):
             net = PolicyNet(obs_dim=5, lstm_hidden=3, trunk_hidden=(4, 4),
-                            rng=np.random.default_rng(8))
-            means, log_std = net.forward_seq(obs)
-            logp, entropy = policy_logp_and_entropy(means, log_std, presquash)
-            loss = actor_loss(logp, logp_old, normalize_advantages(adv),
-                              entropy, 0.2, coef)
+                            rngs=[np.random.default_rng(8)])
+            means, log_std = net.forward_seq(obs[None, None])
+            logp, entropy = policy_logp_and_entropy(means, log_std, presquash[None, None])
+            loss = actor_loss(logp.reshape(6), logp_old, normalize_advantages(adv),
+                              entropy.reshape(()), 0.2, coef)
             for p in net.params():
                 p.grad = None
             loss.backward()
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                      for p in net.params()]
             sgd_update(net.params(), grads, 0.01)
-            _, log_std_new = net.forward_seq(obs)
+            _, log_std_new = net.forward_seq(obs[None, None])
             return float(log_std_new.data.sum())
 
         assert entropy_after(0.5) >= entropy_after(0.0) - 1e-12
+
+
+def reference_train(config, hyper, seed):
+    """The per-agent learner the fleet learner replaced, kept as its oracle.
+
+    Agent i owns a one-agent actor and critic (drawn from agent i's init
+    streams) and its own optimizers. Each hour makes n `distribution`,
+    `sample`, `log_prob` and `value` calls; each minibatch makes n actor
+    forward passes, 2n backward passes and 2n optimizer steps.
+    """
+    env = TradingEnv(config)
+    n = config.n_agents
+    normalizer = ObsNormalizer(config)
+    obs_dim = observation_dim(config)
+    actors = [
+        PolicyNet(obs_dim, lstm_hidden=hyper.lstm_hidden, trunk_hidden=hyper.actor_hidden,
+                  log_std_init=hyper.log_std_init, mean_bias_init=hyper.action_bias,
+                  rngs=[rng_stream(seed, TAG_INIT, i, 0)])
+        for i in range(n)
+    ]
+    critics = [
+        CriticNet(obs_dim * n, hidden=hyper.critic_hidden, rngs=[rng_stream(seed, TAG_INIT, i, 1)])
+        for i in range(n)
+    ]
+    actor_opts = [make_optimizer(hyper.optimizer, a.params(), hyper.lr_actor) for a in actors]
+    critic_opts = [make_optimizer(hyper.optimizer, c.params(), hyper.lr_critic) for c in critics]
+    sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
+    shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
+
+    metrics, pending = [], []
+    for episode in range(hyper.episodes):
+        hidden = [a.initial_hidden() for a in actors]
+        hours = []
+
+        def act(hour, obs):
+            norm_obs = normalizer(obs.as_matrix())
+            global_obs = norm_obs.reshape(-1)
+            actions, presquash = np.empty((n, ACTION_DIM)), np.empty((n, ACTION_DIM))
+            logp, values = np.empty(n), np.empty(n)
+            for i in range(n):
+                dist, hidden[i] = actors[i].distribution(norm_obs[i : i + 1], hidden[i])
+                action, u = dist.sample([sample_rngs[i]])
+                actions[i], presquash[i] = action[0], u[0]
+                logp[i] = dist.log_prob(u)[0]
+                values[i] = critics[i].value(global_obs)[0, 0]
+            hours.append((norm_obs, presquash, logp, values))
+            return actions
+
+        series = rollout_day(env, episode_seed(seed, episode), act)
+        pending.append((*(np.stack(x) for x in zip(*hours)), series[0] * hyper.reward_scale))
+        if len(pending) >= hyper.episodes_per_update or episode == hyper.episodes - 1:
+            reference_update(actors, critics, pending, actor_opts, critic_opts, hyper,
+                             shuffle_rng)
+            pending = []
+        metrics.append(episode_metrics(episode, *series))
+    return actors, critics, metrics
+
+
+def reference_update(actors, critics, pending, actor_opts, critic_opts, hyper, shuffle_rng):
+    obs, presquash, logp_old, values, rewards = (np.stack(x) for x in zip(*pending))
+    E, T, n = logp_old.shape
+    adv = compute_gae(
+        rewards.swapaxes(0, 1), values.swapaxes(0, 1), 0.0, hyper.gamma, hyper.lam
+    ).swapaxes(0, 1)
+    targets = (adv + values).reshape(E * T, n)
+    adv, logp_old = adv.reshape(E * T, n), logp_old.reshape(E * T, n)
+    global_obs = obs.reshape(E * T, -1)
+
+    total = E * T
+    mb = min(hyper.minibatch_size, total)
+    for _ in range(hyper.epochs):
+        order = shuffle_rng.permutation(total)
+        for lo in range(0, total, mb):
+            idx = order[lo : lo + mb]
+            assert idx.size > 1  # the configs below leave no one-step tail
+            for i in range(n):
+                means, log_std = actors[i].forward_seq(obs[None, :, :, i])
+                logp, entropy = policy_logp_and_entropy(means, log_std, presquash[None, :, :, i])
+                loss = actor_loss(
+                    logp.reshape(-1)[idx],
+                    logp_old[idx, i],
+                    normalize_advantages(adv[idx, i]),
+                    entropy.reshape(()),
+                    hyper.clip_eps,
+                    hyper.entropy_coef,
+                )
+                actor_opts[i].zero_grad()
+                loss.backward()
+                actor_opts[i].step()
+
+                vloss = critic_loss(critics[i].forward(global_obs[idx]), targets[idx, i])
+                critic_opts[i].zero_grad()
+                vloss.backward()
+                critic_opts[i].step()
+
+
+class TestFleetLearner:
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_matches_per_agent_reference(self, n):
+        # two update rounds of two episodes; 48 steps cut into 20 + 20 + 8
+        config = EnvConfig(fleet=DEFAULT_FLEET[:n])
+        hyper = Hyperparams(episodes=4, episodes_per_update=2, epochs=2, minibatch_size=20,
+                            lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
+        result = train(config, hyper, seed=5)
+        actors, critics, metrics = reference_train(config, hyper, seed=5)
+        assert repr(result.metrics) == repr(metrics)
+        for fleet, agents in ((result.nets.actor, actors), (result.nets.critic, critics)):
+            for k, agent in enumerate(agents):
+                for p, q in zip(fleet.params(), agent.params()):
+                    assert p.data[k].tobytes() == q.data[0].tobytes()
+
+    def test_every_step_reaches_the_losses(self, monkeypatch):
+        # 24 steps in minibatches of 23 leave a one-step tail, which joins the batch before it
+        counted = {"actor": 0, "critic": 0}
+
+        def counting(role, loss, arg):
+            def wrapped(*args):
+                counted[role] += np.size(args[arg])
+                return loss(*args)
+            return wrapped
+
+        monkeypatch.setattr(train_mod, "actor_loss", counting("actor", actor_loss, 2))
+        monkeypatch.setattr(train_mod, "critic_loss", counting("critic", critic_loss, 1))
+        config = EnvConfig()
+        hyper = Hyperparams(episodes=1, epochs=2, minibatch_size=23, lstm_hidden=4,
+                            actor_hidden=(8, 8), critic_hidden=(8, 8))
+        train(config, hyper, seed=0)
+        steps = config.n_agents * 1 * config.horizon * hyper.epochs
+        assert counted == {"actor": steps, "critic": steps}
+
+    @pytest.mark.parametrize("total,size,bounds", [
+        (24, 23, [(0, 24)]),
+        (25, 12, [(0, 12), (12, 25)]),
+        (48, 20, [(0, 20), (20, 40), (40, 48)]),
+        (1008, 512, [(0, 512), (512, 1008)]),
+        (1, 1, []),
+    ])
+    def test_minibatch_bounds(self, total, size, bounds):
+        assert train_mod._minibatches(total, size) == bounds
