@@ -35,6 +35,11 @@ from .scenario import (
 
 ENV_PREFIX = "GRIDTRADE_"
 
+# The config file's parser: libyaml's when pyyaml was built with it (about
+# ten times faster), else the pure-Python one; both use the same safe
+# constructors and resolvers.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -290,7 +295,7 @@ def load_config(
         with file_errors(path, "read config"):
             text = path.read_text()
         try:
-            raw = yaml.safe_load(text) or {}
+            raw = yaml.load(text, Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as e:
             raise ConfigInvalid(f"config is not valid YAML: {e}") from e
         if not isinstance(raw, dict):

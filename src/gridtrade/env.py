@@ -558,7 +558,10 @@ def episode_metrics(episode: int, rewards, emergency, feedin, storage) -> dict:
     series = [np.asarray(x) for x in (rewards, emergency, feedin, storage)]
     n = series[0].shape[1]
     values = [episode] + [float(s.mean()) for s in series]
-    values += [float(s[:, i].mean()) for i in range(n) for s in series]
+    # one row mean per series over a contiguous (n, T) copy; each row sums
+    # in the same order as the strided column s[:, i]
+    per_agent = [np.ascontiguousarray(s.T).mean(axis=1).tolist() for s in series]
+    values += [mean for agent in zip(*per_agent) for mean in agent]
     return dict(zip(metrics_columns(n), values))
 
 

@@ -13,11 +13,17 @@ Mechanisms:
 * ``clear_mrda``   -- multi-round double auction with price concessions.
 * ``clear_vvda``   -- Vickrey-variant (McAfee breakeven-index) auction; the
   only mechanism allowed a non-zero operator account.
+
+``Quotation`` and ``Trade`` are ``NamedTuple`` records: immutable, cheap to
+build, and equal to any tuple with the same fields. Every book order is
+stable by agent id, then by the regime key: ties on the key go to the lower
+agent id, and equal ids keep their submission order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import CrossViolation, NegativeQuantity, PriceOutOfEnvelope
@@ -40,8 +46,7 @@ class PriceEnvelope:
             )
 
 
-@dataclass(frozen=True)
-class Quotation:
+class Quotation(NamedTuple):
     """One agent's bid for the current hour.
 
     The trading role is encoded in the price sign: price >= 0 is a buy bid,
@@ -79,8 +84,7 @@ BALANCED = MarketFactor(0)
 DEFICIT = MarketFactor(1)
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     """One executed buyer/seller match.
 
     ``bid`` and ``ask`` are the effective prices at which the match formed
@@ -189,10 +193,14 @@ def require_valid(q: Quotation, env: PriceEnvelope) -> None:
 def partition(quotes: list[Quotation]) -> tuple[list[Quotation], list[Quotation]]:
     """Split quotations into buy and sell sides, dropping null quotes.
 
-    Submission order is preserved within each side.
+    The side is `Quotation.is_buyer` (price >= 0 buys). Submission order is
+    preserved within each side.
     """
-    buyers = [q for q in quotes if q.quantity > 0 and q.is_buyer]
-    sellers = [q for q in quotes if q.quantity > 0 and not q.is_buyer]
+    buyers: list[Quotation] = []
+    sellers: list[Quotation] = []
+    for q in quotes:
+        if q.quantity > 0:
+            (buyers if q.price >= 0 else sellers).append(q)
     return buyers, sellers
 
 
@@ -214,30 +222,30 @@ def sort_order_book(
     Ties break toward the lower agent_id.
     """
     if m.value < 0:
-        b = sorted(buyers, key=lambda q: (-q.price * q.quantity, q.agent_id))
-        s = sorted(sellers, key=_ask_key)
-    elif m.value > 0:
-        b = sorted(buyers, key=_bid_key)
-        s = sorted(sellers, key=lambda q: (-(p_e - q.ask) * q.quantity, q.agent_id))
+        b = _book_order(buyers, lambda q: q.price * q.quantity)
     else:
-        b, s = _price_priority(buyers, sellers)
+        b = _book_order(buyers, _PRICE)
+    if m.value > 0:
+        s = _book_order(sellers, lambda q: (p_e - abs(q.price)) * q.quantity)
+    else:
+        s = _book_order(sellers, _PRICE)  # a seller's ask rises as its price falls
     return b, s
 
 
-def _bid_key(q: Quotation):
-    return (-q.price, q.agent_id)
+_AGENT_ID = itemgetter(0)  # of a Quotation or an [id, price, residual] row
+_PRICE = itemgetter(1)
 
 
-def _ask_key(q: Quotation):
-    return (q.ask, q.agent_id)
+def _book_order(side: list, key) -> list:
+    """`side` by descending `key`, ties toward the lower agent id.
 
-
-def _price_priority(
-    buyers: list[Quotation], sellers: list[Quotation]
-) -> tuple[list[Quotation], list[Quotation]]:
-    """The classic book: buyers by descending bid, sellers by ascending ask,
-    ties toward the lower agent_id."""
-    return sorted(buyers, key=_bid_key), sorted(sellers, key=_ask_key)
+    A stable sort by id, then a stable sort by key with ``reverse=True``
+    (which keeps ties in order): the (-key, id) order, duplicate ids
+    included, without building a tuple key per entry.
+    """
+    ranked = sorted(side, key=_AGENT_ID)
+    ranked.sort(key=key, reverse=True)
+    return ranked
 
 
 def midpoint_price(p_b: float, p_s_abs: float) -> float:
@@ -250,6 +258,16 @@ def midpoint_price(p_b: float, p_s_abs: float) -> float:
 # ---------------------------------------------------------------------------
 # Clearing mechanisms
 # ---------------------------------------------------------------------------
+
+_trade = Trade._make  # a Trade from one 7-tuple, cheaper than Trade(*fields)
+
+
+def _columns(side: list[Quotation]) -> tuple[list, list, list]:
+    """(agent ids, prices, quantities) of one book side, as fresh lists."""
+    if not side:
+        return [], [], []
+    return tuple(map(list, zip(*side)))
+
 
 def clear_jpq(
     quotes: list[Quotation],
@@ -272,9 +290,11 @@ def clear_jpq(
     """
     buyers, sellers = partition(quotes)
     buyers, sellers = sort_order_book(buyers, sellers, m, p_e)
+    buyer_ids, bids, rb = _columns(buyers)
+    seller_ids, seller_prices, rs = _columns(sellers)
+    asks = [abs(p) for p in seller_prices]
     nb, ns = len(buyers), len(sellers)
-    rb = [q.quantity for q in buyers]
-    rs = [q.quantity for q in sellers]
+    regime = m.value
     trades: list[Trade] = []
 
     b = s = 0
@@ -310,16 +330,16 @@ def clear_jpq(
             break
         iterations += 1
 
-        p_b = buyers[b].price
-        p_s = sellers[s].ask
+        p_b = bids[b]
+        p_s = asks[s]
         if p_b < p_s:
-            if m.value < 0:
+            if regime < 0:
                 b += 1
                 b_start += 1
                 since_trade += 1
                 advances += 1
                 continue
-            elif m.value > 0:
+            elif regime > 0:
                 s += 1
                 s_start += 1
                 since_trade += 1
@@ -330,9 +350,7 @@ def clear_jpq(
 
         qty = min(rb[b], rs[s])
         price = midpoint_price(p_b, p_s)
-        trades.append(
-            Trade(buyers[b].agent_id, sellers[s].agent_id, qty, price, price, p_b, p_s)
-        )
+        trades.append(_trade((buyer_ids[b], seller_ids[s], qty, price, price, p_b, p_s)))
         rb[b] -= qty
         rs[s] -= qty
         since_trade = 0
@@ -344,9 +362,15 @@ def clear_jpq(
         stats["iterations"] = iterations
         stats["pointer_advances"] = advances
 
-    return TradeLedger.from_trades(
-        [q.agent_id for q in buyers], [q.agent_id for q in sellers], trades
-    )
+    return TradeLedger.from_trades(buyer_ids, seller_ids, trades)
+
+
+def _classic_rows(quotes: list[Quotation]) -> tuple[list[list], list[list]]:
+    """The classic book as [id, signed price, residual] rows: buyers by
+    descending bid, sellers by ascending ask (descending signed price)."""
+    buyers, sellers = partition(quotes)
+    return (list(map(list, _book_order(buyers, _PRICE))),
+            list(map(list, _book_order(sellers, _PRICE))))
 
 
 def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
@@ -355,42 +379,41 @@ def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
     Buyers descend by bid, sellers ascend by ask; the front pair trades the
     smaller residual while the bid still covers the ask.
     """
-    buyers, sellers = _price_priority(*partition(quotes))
-    trades = _greedy_match(
-        [[q.agent_id, q.price, q.quantity] for q in buyers],
-        [[q.agent_id, q.ask, q.quantity] for q in sellers],
-    )
-    return TradeLedger.from_trades(
-        [q.agent_id for q in buyers], [q.agent_id for q in sellers], trades
-    )
+    buy_rows, sell_rows = _classic_rows(quotes)
+    buyer_ids = [r[0] for r in buy_rows]
+    seller_ids = [r[0] for r in sell_rows]
+    return TradeLedger.from_trades(buyer_ids, seller_ids, _greedy_match(buy_rows, sell_rows))
 
 
 def _greedy_match(buy_rows, sell_rows) -> list[Trade]:
-    """Sequential matching over [id, price, residual] rows.
+    """Sequential matching over [id, signed price, residual] rows.
 
     Each trade decrements the residuals of its two rows in place.
     """
     trades = []
     bi = si = 0
-    while bi < len(buy_rows) and si < len(sell_rows):
-        if buy_rows[bi][2] <= 0:
+    nb, ns = len(buy_rows), len(sell_rows)
+    while bi < nb and si < ns:
+        buy, sell = buy_rows[bi], sell_rows[si]
+        if buy[2] <= 0:
             bi += 1
             continue
-        if sell_rows[si][2] <= 0:
+        if sell[2] <= 0:
             si += 1
             continue
-        b_id, p_b, q_b = buy_rows[bi]
-        s_id, p_s, q_s = sell_rows[si]
+        b_id, p_b, q_b = buy
+        s_id, p_s, q_s = sell
+        p_s = -p_s  # the seller's ask
         if p_b < p_s:
             break
         qty = min(q_b, q_s)
         price = midpoint_price(p_b, p_s)
-        trades.append(Trade(b_id, s_id, qty, price, price, p_b, p_s))
-        buy_rows[bi][2] -= qty
-        sell_rows[si][2] -= qty
-        if buy_rows[bi][2] <= 0:
+        trades.append(_trade((b_id, s_id, qty, price, price, p_b, p_s)))
+        buy[2] -= qty
+        sell[2] -= qty
+        if buy[2] <= 0:
             bi += 1
-        if sell_rows[si][2] <= 0:
+        if sell[2] <= 0:
             si += 1
     return trades
 
@@ -409,34 +432,33 @@ def clear_mrda(
     feed-in tariff, each by the concession fraction of the remaining gap;
     residuals are then greedy-matched and settle at the conceded prices.
     The ledger is the union of all rounds. Conceded prices stay inside the
-    envelope because the concession fraction is below one.
+    envelope because the concession fraction is below one. Exhausted rows
+    can neither concede nor trade, so each later round drops them first.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not (0.0 <= concession < 1.0):
         raise ValueError(f"concession must be in [0, 1), got {concession}")
 
-    buyers, sellers = _price_priority(*partition(quotes))
-    buy_rows = [[q.agent_id, q.price, q.quantity] for q in buyers]
-    sell_rows = [[q.agent_id, q.ask, q.quantity] for q in sellers]
+    buy_rows, sell_rows = _classic_rows(quotes)
+    buyer_ids = [r[0] for r in buy_rows]
+    seller_ids = [r[0] for r in sell_rows]
 
     all_trades: list[Trade] = []
     for rnd in range(rounds):
         if rnd > 0:
+            buy_rows = [row for row in buy_rows if row[2] > 0]
+            sell_rows = [row for row in sell_rows if row[2] > 0]
             for row in buy_rows:
-                if row[2] > 0:
-                    row[1] += concession * (env.emergency - row[1])
-            for row in sell_rows:
-                if row[2] > 0:
-                    row[1] -= concession * (row[1] - env.feed_in)
+                row[1] += concession * (env.emergency - row[1])
+            for row in sell_rows:  # row[1] is -ask: the ask falls by the same rule
+                row[1] += concession * (-row[1] - env.feed_in)
             # re-rank by the conceded prices before matching
-            buy_rows.sort(key=lambda r: (-r[1], r[0]))
-            sell_rows.sort(key=lambda r: (r[1], r[0]))
+            buy_rows = _book_order(buy_rows, _PRICE)
+            sell_rows = _book_order(sell_rows, _PRICE)
         all_trades.extend(_greedy_match(buy_rows, sell_rows))
 
-    return TradeLedger.from_trades(
-        [q.agent_id for q in buyers], [q.agent_id for q in sellers], all_trades
-    )
+    return TradeLedger.from_trades(buyer_ids, seller_ids, all_trades)
 
 
 def clear_vvda(quotes: list[Quotation]) -> TradeLedger:
@@ -448,30 +470,20 @@ def clear_vvda(quotes: list[Quotation]) -> TradeLedger:
     receives the rank-k ask, so the operator keeps a non-negative surplus
     and the marginal pair is sacrificed for incentive reasons.
     """
-    buyers, sellers = _price_priority(*partition(quotes))
+    buyers, sellers = (_book_order(side, _PRICE) for side in partition(quotes))
     buyer_ids = [q.agent_id for q in buyers]
     seller_ids = [q.agent_id for q in sellers]
 
     k = 0
-    while k < min(len(buyers), len(sellers)) and buyers[k].price >= sellers[k].ask:
+    while k < min(len(buyers), len(sellers)) and buyers[k].price >= abs(sellers[k].price):
         k += 1
     if k < 1:
         return TradeLedger.from_trades(buyer_ids, seller_ids, [])
 
     buy_clear = buyers[k - 1].price
-    sell_clear = sellers[k - 1].ask
-    trades = []
-    for r in range(k - 1):
-        qty = min(buyers[r].quantity, sellers[r].quantity)
-        trades.append(
-            Trade(
-                buyers[r].agent_id,
-                sellers[r].agent_id,
-                qty,
-                buy_clear,
-                sell_clear,
-                buyers[r].price,
-                sellers[r].ask,
-            )
-        )
+    sell_clear = abs(sellers[k - 1].price)
+    trades = [
+        _trade((b_id, s_id, min(q_b, q_s), buy_clear, sell_clear, p_b, abs(p_s)))
+        for (b_id, p_b, q_b), (s_id, p_s, q_s) in zip(buyers[: k - 1], sellers)
+    ]
     return TradeLedger.from_trades(buyer_ids, seller_ids, trades)

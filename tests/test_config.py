@@ -1,5 +1,7 @@
 """Config loading, validation, overrides, and hashing."""
 
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -84,6 +86,18 @@ class TestFileLoading:
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigInvalid):
             load_config(path)
+
+    def test_malformed_yaml(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("seed: [1\n")
+        with pytest.raises(ConfigInvalid, match="not valid YAML"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["reference.yaml", "deficit_biased.yaml"])
+    def test_bundled_configs_parse_as_with_the_python_loader(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / name
+        reference = config_from_dict(yaml.safe_load(path.read_text()), path.parent)
+        assert load_config(path).hash() == reference.hash()
 
     def test_profile_csv_loading(self, tmp_path):
         for name in ("p0", "p1", "p2", "p3"):

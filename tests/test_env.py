@@ -16,6 +16,7 @@ from gridtrade.env import (
     compute_market_factor,
     day_windows,
     decode_action,
+    episode_metrics,
     observation_dim,
     reset,
     step,
@@ -740,3 +741,16 @@ class TestScriptedPolicies:
             return total
 
         assert total_emergency("net-position") < total_emergency("zero")
+
+
+def test_episode_metrics_per_agent_means_are_the_column_means():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        T, n = int(rng.integers(1, 60)), int(rng.integers(1, 70))
+        series = [rng.normal(size=(T, n)) * 10.0 ** rng.uniform(-3, 3) for _ in range(4)]
+        row = episode_metrics(7, *series)
+        assert row["episode"] == 7
+        for k, name in enumerate(("reward", "emergency_kwh", "feedin_kwh", "storage_kwh")):
+            assert row[name] == float(series[k].mean())
+            for i in range(n):
+                assert row[f"{name}_agent{i}"] == float(series[k][:, i].mean())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridtrade import market
 from gridtrade.errors import CrossViolation, NegativeQuantity, PriceOutOfEnvelope
 from gridtrade.market import (
     BALANCED,
@@ -12,6 +13,8 @@ from gridtrade.market import (
     MarketFactor,
     PriceEnvelope,
     Quotation,
+    Trade,
+    TradeLedger,
     clear_greedy,
     clear_jpq,
     clear_mrda,
@@ -488,3 +491,201 @@ def test_hypothesis_large_book_invariants(seed, n, buyer_share, tick, m):
             assert ledger.total_payments_micro() >= ledger.total_receipts_micro()
         else:
             assert ledger.total_payments_micro() == ledger.total_receipts_micro()
+
+
+# ---------------------------------------------------------------------------
+# record contract
+# ---------------------------------------------------------------------------
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        quote = Quotation(0, 1.0, 2.0)
+        trade = Trade(0, 1, 2.0, 0.75, 0.75, 1.0, 0.5)
+        with pytest.raises(AttributeError):
+            quote.price = 0.5
+        with pytest.raises(AttributeError):
+            trade.quantity = 1.0
+
+    def test_positional_and_keyword_construction(self):
+        assert Quotation(3, -0.5, 2.0) == Quotation(agent_id=3, price=-0.5, quantity=2.0)
+        assert Trade(0, 1, 2.0, 0.75, 0.7, 1.0, 0.5) == Trade(
+            buyer_id=0, seller_id=1, quantity=2.0, buyer_price=0.75, seller_price=0.7,
+            bid=1.0, ask=0.5,
+        )
+        # records compare as plain tuples of their fields
+        assert Quotation(3, -0.5, 2.0) == (3, -0.5, 2.0)
+
+    def test_reprs(self):
+        assert repr(Quotation(agent_id=0, price=1.0, quantity=5)) == (
+            "Quotation(agent_id=0, price=1.0, quantity=5)"
+        )
+        assert repr(Trade(0, 2, 4, 0.75, 0.75, 1.0, 0.5)) == (
+            "Trade(buyer_id=0, seller_id=2, quantity=4, buyer_price=0.75, "
+            "seller_price=0.75, bid=1.0, ask=0.5)"
+        )
+
+    def test_properties(self):
+        assert Quotation(0, 0.0, 1.0).is_buyer
+        assert not Quotation(0, -0.4, 1.0).is_buyer
+        assert Quotation(0, -0.4, 1.0).ask == 0.4
+        trade = Trade(0, 1, 2.0, 0.75, 0.7, 1.0, 0.5)
+        assert trade.ask == 0.5  # the field, not the Quotation property
+        assert (trade.payment_micro, trade.receipt_micro) == (1_500_000, 1_400_000)
+
+    def test_every_mechanism_builds_its_ledger_through_from_trades(self, monkeypatch):
+        calls = []
+        original = TradeLedger.from_trades.__func__
+
+        def counted(cls, buyer_ids, seller_ids, trades):
+            calls.append(len(trades))
+            return original(cls, buyer_ids, seller_ids, trades)
+
+        monkeypatch.setattr(TradeLedger, "from_trades", classmethod(counted))
+        quotes = [q(0, 1.0, 5), q(1, 0.8, 3), q(2, -0.5, 4), q(3, -0.9, 6)]
+        clear_all(quotes, BALANCED)
+        assert calls == [1, 2, 3, 0]
+
+
+# ---------------------------------------------------------------------------
+# reference clearing: the (-key, agent_id) tuple-key book of earlier releases
+# ---------------------------------------------------------------------------
+
+def reference_partition(quotes):
+    buyers = [x for x in quotes if x.quantity > 0 and x.is_buyer]
+    sellers = [x for x in quotes if x.quantity > 0 and not x.is_buyer]
+    return buyers, sellers
+
+
+def reference_sort_order_book(buyers, sellers, m, p_e):
+    def bid_key(x):
+        return (-x.price, x.agent_id)
+
+    def ask_key(x):
+        return (x.ask, x.agent_id)
+
+    if m.value < 0:
+        return (sorted(buyers, key=lambda x: (-x.price * x.quantity, x.agent_id)),
+                sorted(sellers, key=ask_key))
+    if m.value > 0:
+        return (sorted(buyers, key=bid_key),
+                sorted(sellers, key=lambda x: (-(p_e - x.ask) * x.quantity, x.agent_id)))
+    return sorted(buyers, key=bid_key), sorted(sellers, key=ask_key)
+
+
+def reference_greedy_match(buy_rows, sell_rows):
+    trades = []
+    bi = si = 0
+    while bi < len(buy_rows) and si < len(sell_rows):
+        if buy_rows[bi][2] <= 0:
+            bi += 1
+            continue
+        if sell_rows[si][2] <= 0:
+            si += 1
+            continue
+        b_id, p_b, q_b = buy_rows[bi]
+        s_id, p_s, q_s = sell_rows[si]
+        if p_b < p_s:
+            break
+        qty = min(q_b, q_s)
+        price = midpoint_price(p_b, p_s)
+        trades.append(Trade(b_id, s_id, qty, price, price, p_b, p_s))
+        buy_rows[bi][2] -= qty
+        sell_rows[si][2] -= qty
+        if buy_rows[bi][2] <= 0:
+            bi += 1
+        if sell_rows[si][2] <= 0:
+            si += 1
+    return trades
+
+
+def reference_clear_mrda(quotes, env, rounds=3, concession=0.5):
+    """The multi-round auction that concedes every row, exhausted or not,
+    and re-sorts the whole book on (key, agent_id) tuples; one round is the
+    greedy auction."""
+    buyers, sellers = reference_sort_order_book(*reference_partition(quotes), BALANCED, 0.0)
+    buy_rows = [[x.agent_id, x.price, x.quantity] for x in buyers]
+    sell_rows = [[x.agent_id, x.ask, x.quantity] for x in sellers]
+    all_trades = []
+    for rnd in range(rounds):
+        if rnd > 0:
+            for row in buy_rows:
+                if row[2] > 0:
+                    row[1] += concession * (env.emergency - row[1])
+            for row in sell_rows:
+                if row[2] > 0:
+                    row[1] -= concession * (row[1] - env.feed_in)
+            buy_rows.sort(key=lambda r: (-r[1], r[0]))
+            sell_rows.sort(key=lambda r: (r[1], r[0]))
+        all_trades.extend(reference_greedy_match(buy_rows, sell_rows))
+    return TradeLedger.from_trades(
+        [x.agent_id for x in buyers], [x.agent_id for x in sellers], all_trades
+    )
+
+
+def reference_clear_vvda(quotes):
+    buyers, sellers = reference_sort_order_book(*reference_partition(quotes), BALANCED, 0.0)
+    k = 0
+    while k < min(len(buyers), len(sellers)) and buyers[k].price >= sellers[k].ask:
+        k += 1
+    trades = [
+        Trade(b.agent_id, s.agent_id, min(b.quantity, s.quantity),
+              buyers[k - 1].price, sellers[k - 1].ask, b.price, s.ask)
+        for b, s in zip(buyers[: max(k - 1, 0)], sellers)
+    ]
+    return TradeLedger.from_trades(
+        [x.agent_id for x in buyers], [x.agent_id for x in sellers], trades
+    )
+
+
+def reference_clear_jpq(quotes, m, p_e, monkeypatch):
+    """JPQ's matching loop on the reference book."""
+    with monkeypatch.context() as patch:
+        patch.setattr(market, "partition", reference_partition)
+        patch.setattr(market, "sort_order_book", reference_sort_order_book)
+        return clear_jpq(quotes, m, p_e)
+
+
+def shuffled_book(seed, n, buyer_share, tick, duplicate_ids=False):
+    """n quotes with shuffled agent ids, about 5% of them null; a non-zero
+    tick rounds prices so that many quotes tie."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(n)
+    if duplicate_ids:
+        ids = rng.integers(0, max(n // 4, 1), n)
+    prices = rng.uniform(ENV.feed_in, ENV.emergency, n)
+    if tick:
+        prices = np.clip(np.round(prices / tick) * tick, ENV.feed_in, ENV.emergency)
+    buys = rng.random(n) < buyer_share
+    qtys = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0.0, 12.0, n))
+    if tick:
+        qtys = np.ceil(qtys)  # ties on price * quantity as well
+    return [
+        Quotation(int(a), float(p if b else -p), float(x))
+        for a, p, b, x in zip(ids, prices, buys, qtys)
+    ]
+
+
+def assert_same_ledger(ledger, ref):
+    assert ledger.buyer_ids == ref.buyer_ids
+    assert ledger.seller_ids == ref.seller_ids
+    for k, (got, want) in enumerate(zip(ledger.trades, ref.trades)):
+        assert repr(got) == repr(want), f"trade {k}"
+    assert len(ledger.trades) == len(ref.trades)
+
+
+@pytest.mark.parametrize("n", [4, 64, 512, 2048])
+@pytest.mark.parametrize("buyer_share", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("tick, duplicate_ids", [(0.0, False), (0.05, False), (0.05, True)])
+def test_ledgers_equal_reference(n, buyer_share, tick, duplicate_ids, monkeypatch):
+    quotes = shuffled_book(n + round(100 * buyer_share), n, buyer_share, tick, duplicate_ids)
+    for m in (SURPLUS, BALANCED, DEFICIT):
+        assert_same_ledger(clear_jpq(quotes, m, ENV.emergency),
+                           reference_clear_jpq(quotes, m, ENV.emergency, monkeypatch))
+        b, s = sort_order_book(*partition(quotes), m, ENV.emergency)
+        rb, rs = reference_sort_order_book(*reference_partition(quotes), m, ENV.emergency)
+        assert list(map(repr, b + s)) == list(map(repr, rb + rs)), m
+    assert_same_ledger(clear_greedy(quotes), reference_clear_mrda(quotes, ENV, rounds=1))
+    for rounds in (1, 2, 3):
+        assert_same_ledger(clear_mrda(quotes, ENV, rounds=rounds),
+                           reference_clear_mrda(quotes, ENV, rounds=rounds))
+    assert_same_ledger(clear_vvda(quotes), reference_clear_vvda(quotes))
