@@ -13,9 +13,15 @@ import numpy as np
 from gridtrade.env import EnvConfig
 from gridtrade.marl.train import Hyperparams, train
 from gridtrade.policies import ScriptedPolicy
-from gridtrade.runner import mean_community_reward, run_episodes
+from gridtrade.runner import run_episodes
 
 EPISODES = 120
+
+
+def mean_community_reward(rows: list[dict]) -> float:
+    """The community's hourly reward averaged over episodes."""
+    return float(np.mean([r["reward"] for r in rows]))
+
 
 config = EnvConfig()
 print("scoring the scripted baselines (50 episodes each)...")

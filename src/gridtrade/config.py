@@ -110,7 +110,10 @@ def apply_env_overrides(raw: dict, environ: dict) -> dict:
             if not isinstance(node.get(part), dict):
                 node[part] = {}
             node = node[part]
-        node[path[-1]] = yaml.safe_load(value)
+        try:
+            node[path[-1]] = yaml.safe_load(value)
+        except yaml.YAMLError as e:
+            raise ConfigInvalid(f"{key} is not valid YAML: {e}") from e
     return out
 
 

@@ -40,7 +40,7 @@ from .market import (
 )
 from .microgrid import (
     DEFAULT_FLEET,
-    EssState,
+    RECORD_FIELDS,
     FleetParams,
     FleetSettlement,
     MicrogridParams,
@@ -240,14 +240,6 @@ class GlobalState:
     #: the current hour's market factor once computed; `step` clears it
     #: when storage and the clock move
     market_factor: MarketFactor | None = None
-
-    @property
-    def ess(self) -> list[EssState]:
-        """Per-agent storage view (a copy; writes do not reach the state)."""
-        return [
-            EssState(energy=e, reservation=r)
-            for e, r in zip(self.energy.tolist(), self.reservation.tolist())
-        ]
 
 
 @dataclass
@@ -566,11 +558,18 @@ def episode_metrics(episode: int, rewards, emergency, feedin, storage) -> dict:
 
 
 def step_record(episode: int, hour: int, actions, result: StepResult) -> dict:
-    """JSON-serializable record of one step for trajectory export."""
+    """JSON-serializable record of one step for trajectory export.
+
+    Per-agent values are fleet columns: `actions` holds one list of n values
+    per `Action` field and `settlements` one per `RECORD_FIELDS` name; the
+    ledger's trades stay rows of (buyer, seller, kWh, buyer price, seller
+    price).
+    """
+    settled = result.settlements
     return {
         "episode": episode,
         "hour": hour,
-        "actions": np.asarray(actions, dtype=float).tolist(),
+        "actions": dict(zip(Action._fields, np.asarray(actions, dtype=float).T.tolist())),
         "rewards": result.rewards.tolist(),
         "ledger": {
             "trades": [
@@ -579,8 +578,7 @@ def step_record(episode: int, hour: int, actions, result: StepResult) -> dict:
             ],
             "operator_surplus": result.ledger.operator_surplus(),
         },
-        # each record is fresh, so its field dict can be handed out as is
-        "settlements": [vars(record) for record in result.settlements],
+        "settlements": {name: getattr(settled, name).tolist() for name in RECORD_FIELDS},
         "soc": result.observations.soc.tolist(),
         "done": result.done,
     }

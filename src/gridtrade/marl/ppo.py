@@ -126,31 +126,36 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        # two scratch buffers the size of the largest parameter, viewed in
+        # each parameter's shape, so a step allocates nothing
+        flat = np.empty((2, max((p.data.size for p in params), default=0)))
+        self._scratch = [tuple(b[: p.data.size].reshape(p.data.shape) for b in flat)
+                         for p in params]
         self.t = 0
 
     def step(self):
-        """p <- p - lr * m_hat / (sqrt(v_hat) + eps), with the moments
-        updated in place; every product and sum rounds as in the textbook
-        expression."""
+        """p <- p - lr * m_hat / (sqrt(v_hat) + eps), with the moments and
+        the parameters updated in place; every product and sum rounds as in
+        the textbook expression."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, (update, denom) in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             if g is None:
                 continue
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            g2 = (1.0 - self.beta2) * g
+            m += np.multiply(1.0 - self.beta1, g, out=update)
+            g2 = np.multiply(1.0 - self.beta2, g, out=denom)
             g2 *= g
             v *= self.beta2
             v += g2
-            update = m / b1t
+            np.divide(m, b1t, out=update)
             update *= self.lr
-            denom = np.sqrt(v / b2t)
+            np.sqrt(np.divide(v, b2t, out=denom), out=denom)
             denom += self.eps
             update /= denom
-            p.data = p.data - update
+            p.data -= update
 
     def zero_grad(self):
         for p in self.params:

@@ -135,7 +135,7 @@ def max_bid_quantity(load, gen, buyer, params, dt: float = 1.0):
     """
     net = np.where(buyer, load - gen, gen - load)
     rate = np.where(buyer, params.t_charge_max, params.t_discharge_max)
-    return _max(0.0, net + rate * dt)
+    return _pos(net + rate * dt)
 
 
 #: the per-agent record's fields, in column order
@@ -192,6 +192,14 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
+def _pos(x):
+    """Elementwise `max(0.0, x)` for finite x: `np.maximum` may keep a -0.0,
+    and adding 0.0 turns it into 0.0 while leaving every other value as is."""
+    out = np.maximum(x, 0.0)
+    out += 0.0
+    return out
+
+
 def settle_and_balance(
     load: np.ndarray,
     gen: np.ndarray,
@@ -221,27 +229,32 @@ def settle_and_balance(
     """
     p = plant
     zero = np.zeros(len(energy))
-    cap = _max(p.e_min, reservation * p.e_max)
+    # a tie is e_min = 0 against a -0.0 reservation; cap reaches the
+    # results only through `_pos`, which maps either zero to 0.0
+    cap = np.maximum(p.e_min, reservation * p.e_max)
     balance = gen + q_da + q_b - load - q_s
 
-    # (1) shed anything stored above the reservation cap
-    bus_shed = _min(_max(zero, energy - cap) * p.eta_dis, p.t_discharge_max * dt)
+    # (1) shed anything stored above the reservation cap; the rate limit is positive
+    bus_shed = np.minimum(_pos(energy - cap) * p.eta_dis, p.t_discharge_max * dt)
     energy = energy - bus_shed / p.eta_dis
     balance = balance + bus_shed
     surplus, deficit = balance > zero, balance < zero
 
-    # (2) absorb a surplus, (3) cover a deficit within the leftover discharge budget
-    headroom = _max(zero, cap - energy) / p.eta_ch
-    bus_charge = np.where(surplus, _min(_min(balance, p.t_charge_max * dt), headroom), zero)
-    rate_left = _max(zero, p.t_discharge_max * dt - bus_shed)
-    available = _max(zero, energy - p.e_min) * p.eta_dis
-    bus_cover = np.where(deficit, _min(_min(-balance, rate_left), available), zero)
+    # (2) absorb a surplus, (3) cover a deficit within the leftover discharge budget;
+    # a kept row's balance is nonzero and `_pos` never gives -0.0, so no tie is a ±0 pair
+    headroom = _pos(cap - energy) / p.eta_ch
+    bus_charge = np.where(
+        surplus, np.minimum(np.minimum(balance, p.t_charge_max * dt), headroom), zero
+    )
+    rate_left = _pos(p.t_discharge_max * dt - bus_shed)
+    available = _pos(energy - p.e_min) * p.eta_dis
+    bus_cover = np.where(deficit, np.minimum(np.minimum(-balance, rate_left), available), zero)
     energy = np.where(surplus, energy + bus_charge * p.eta_ch, energy - bus_cover / p.eta_dis)
     # rows with neither may turn a -0.0 balance into 0.0; both clamps below map ±0 to 0.0
     balance = balance - bus_charge + bus_cover
 
-    q_fit = _max(zero, balance)
-    q_e = _max(zero, -balance)
+    q_fit = _pos(balance)
+    q_e = _pos(-balance)
     return FleetSettlement(
         q_da=q_da,
         q_b=q_b,

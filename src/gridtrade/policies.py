@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import Observation
-from .microgrid import FleetParams, _max, _min, max_bid_quantity
+from .microgrid import FleetParams, _pos, max_bid_quantity
 from .scenario import STREAM_ACTION, rng_stream
 
 POLICY_RULES = ("net-position", "random", "zero")
@@ -72,11 +72,14 @@ class ScriptedPolicy:
         p = ctx.plant
         buyer, seller = net < -1e-9, net > 1e-9
         cap = max_bid_quantity(load_est, gen_est, buyer, p, ctx.dt)
-        headroom = _min(_max(0.0, p.e_max - obs.soc), p.t_charge_max * ctx.dt)
+        # the charge rate limit is positive, so a tie is never a ±0 pair
+        headroom = np.minimum(_pos(p.e_max - obs.soc), p.t_charge_max * ctx.dt)
         wanted = np.where(buyer, headroom - net, net)
         tradable = (buyer | seller) & (cap > 0)
         actions = np.empty((len(net), 3))
         actions[:, 0] = np.where(buyer, 1.0 - self.margin, np.where(seller, -self.margin, 0.0))
-        actions[:, 1] = _min(1.0, np.divide(wanted, cap, out=np.zeros(len(net)), where=tradable))
+        # a tie with 1.0 is 1.0 either way
+        actions[:, 1] = np.minimum(1.0, np.divide(wanted, cap, out=np.zeros(len(net)),
+                                                  where=tradable))
         actions[:, 2] = 1.0
         return actions

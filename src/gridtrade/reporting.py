@@ -112,7 +112,7 @@ class TrajectoryWriter:
 
 def metrics_from_trajectory(path: Path) -> list[dict]:
     """The metrics table of a trajectory file, its step records grouped by
-    episode and hour."""
+    episode and hour; each record holds the fleet columns of `env.step_record`."""
     try:
         with file_errors(path, "read"), open(path) as fh:
             records = [json.loads(line) for line in fh if line.strip()]
@@ -125,8 +125,8 @@ def metrics_from_trajectory(path: Path) -> list[dict]:
             rows.append(episode_metrics(
                 ep,
                 [s["rewards"] for s in steps],
-                [[x["q_e"] for x in s["settlements"]] for s in steps],
-                [[x["q_fit"] for x in s["settlements"]] for s in steps],
+                [s["settlements"]["q_e"] for s in steps],
+                [s["settlements"]["q_fit"] for s in steps],
                 [s["soc"] for s in steps],
             ))
         return rows

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .env import EnvConfig, TradingEnv, episode_metrics, episode_seed, rollout_day, step_record
 from .policies import PolicyContext, ScriptedPolicy
 
@@ -38,9 +36,3 @@ def run_episodes(
         series = rollout_day(env, ep_seed, act, None if on_step is None else record)
         rows.append(episode_metrics(ep, *series))
     return rows
-
-
-def mean_community_reward(rows: list[dict]) -> float:
-    if not rows:
-        return 0.0
-    return float(np.mean([r["reward"] for r in rows]))

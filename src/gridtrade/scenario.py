@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptySeries, IndexOutOfRange, NonHourlyData
+from .errors import EmptySeries, NonHourlyData
 from .microgrid import FleetParams
 
 HOURS = 24
@@ -142,11 +142,6 @@ def hourly_shape(series) -> np.ndarray:
     return (means - means.min()) / span
 
 
-def normalize_annual(load_series, pv_series) -> DailyProfile:
-    """Build a representative daily profile from raw hourly load and PV data."""
-    return DailyProfile(load=hourly_shape(load_series), pv=hourly_shape(pv_series))
-
-
 # ---------------------------------------------------------------------------
 # Bundled defaults
 # ---------------------------------------------------------------------------
@@ -186,13 +181,6 @@ def bundled_price_schedule() -> PriceSchedule:
     )
     shape = (shape - shape.min()) / (shape.max() - shape.min())
     return PriceSchedule(feed_in=0.2, emergency=1.5 + 2.0 * shape, day_ahead=0.5)
-
-
-def emergency_price(t: int, schedule: PriceSchedule) -> float:
-    """Emergency price for hour t (0..23)."""
-    if not (0 <= t < HOURS):
-        raise IndexOutOfRange(f"hour {t} outside [0, {HOURS})")
-    return float(schedule.emergency[t])
 
 
 # ---------------------------------------------------------------------------

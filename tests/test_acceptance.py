@@ -171,9 +171,8 @@ def test_c04_power_balance():
                     rec, env.state.load[i, t], env.state.gen[i, t]
                 )
                 assert abs(residual) <= 1e-9
-            for i, s in enumerate(env.state.ess):
-                p = cfg.fleet[i]
-                assert p.e_min - 1e-9 <= s.energy <= p.e_max + 1e-9
+            for p, energy in zip(cfg.fleet, env.state.energy.tolist()):
+                assert p.e_min - 1e-9 <= energy <= p.e_max + 1e-9
             t += 1
             total += 1
     ok("criterion 4 (power balance)",

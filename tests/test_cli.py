@@ -282,16 +282,30 @@ class TestExport:
         with pytest.raises(UnknownFormat):
             export_tidy([], "xml")
 
-    def test_trajectory_and_metrics_exports_identical(self, tmp_path):
+    @staticmethod
+    def exports_of_both_files(tmp_path, argv):
+        """The tidy CSV `export` makes from each file of one `simulate` run."""
         sim = tmp_path / "sim"
-        assert main(["simulate", "--episodes", "2", "--seed", "4", "--out", str(sim)]) == 0
+        assert main(["simulate", *argv, "--episodes", "2", "--seed", "4", "--out", str(sim)]) == 0
         tidy = {}
         for name in ("trajectory.jsonl", "metrics.csv"):
             out = tmp_path / name
             out.mkdir()
             assert main(["export", "--input", str(sim / name), "--out", str(out)]) == 0
             tidy[name] = (out / "tidy.csv").read_bytes()
+        return tidy
+
+    def test_trajectory_and_metrics_exports_identical(self, tmp_path):
+        tidy = self.exports_of_both_files(tmp_path, [])
         assert tidy["trajectory.jsonl"] == tidy["metrics.csv"]
+
+    def test_fleet64_trajectory_and_metrics_exports_identical(self, tmp_path):
+        raw = default_config_dict()
+        raw["fleet"] = [raw["fleet"][i % 4] for i in range(64)]
+        raw["market_factor"] = {"lower": -480.0, "upper": -320.0}
+        tidy = self.exports_of_both_files(tmp_path, ["--config", write_cfg(tmp_path, **raw)])
+        assert tidy["trajectory.jsonl"] == tidy["metrics.csv"]
+        assert tidy["metrics.csv"].count(b"\n") == 1 + 2 * 4 * 65
 
 
 class TestMalformedExportInput:
@@ -331,6 +345,18 @@ class TestMalformedExportInput:
         n = len(cut(lines[0]))
         path.write_text("".join(",".join(cells[:n]) + "\n" for cells in lines))
         assert self.export_rc(path, capsys) == 1
+
+    def test_row_layout_record(self, sim, capsys):
+        # the layout before fleet columns: one dict per agent, one list per action
+        path = sim / "trajectory.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for r in records:
+            r["settlements"] = [dict(zip(r["settlements"], row))
+                                for row in zip(*r["settlements"].values())]
+            r["actions"] = [list(row) for row in zip(*r["actions"].values())]
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        assert main(["export", "--input", str(path), "--out", str(sim)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed trajectory file {path}")
 
     def test_record_without_rewards(self, sim, capsys):
         path = sim / "trajectory.jsonl"
@@ -483,3 +509,10 @@ class TestMalformedConfigValues:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: learner: ")
         assert not (out / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("value", ["a: [", "\udcff"], ids=["unclosed-flow", "non-utf8"])
+    def test_env_var_that_is_not_yaml_exit_code_2(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GRIDTRADE_SEED", value)
+        rc = main(["simulate", "--episodes", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: GRIDTRADE_SEED ")

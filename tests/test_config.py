@@ -151,6 +151,12 @@ class TestOverrides:
         assert raw["learner"]["gamma"] == 0.9
         assert raw["noise"]["process_sigma"] == 0.0
 
+    @pytest.mark.parametrize("value", ["a: [", "\udcff"], ids=["unclosed-flow", "non-utf8"])
+    def test_env_var_that_is_not_yaml_is_config_invalid(self, value):
+        # a non-UTF-8 byte reaches os.environ as a lone surrogate
+        with pytest.raises(ConfigInvalid, match="GRIDTRADE_SEED is not valid YAML"):
+            apply_env_overrides({}, {"GRIDTRADE_SEED": value})
+
     def test_env_var_ignored_without_prefix(self):
         raw = apply_env_overrides({}, {"OTHER_SEED": "9"})
         assert "seed" not in raw

@@ -26,6 +26,8 @@ from gridtrade.errors import ConfigInvalid, EpisodeFinished, GridTradeError, Inv
 from gridtrade.market import Quotation
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
+    RECORD_FIELDS,
+    EssState,
     FleetParams,
     MicrogridParams,
     balance_residual,
@@ -53,6 +55,12 @@ def quiet_config(**kw):
     )
     base.update(kw)
     return EnvConfig(**base)
+
+
+def ess(state):
+    """Per-agent storage view of `state`: one `EssState` per microgrid (a copy)."""
+    return [EssState(energy=e, reservation=r)
+            for e, r in zip(state.energy.tolist(), state.reservation.tolist())]
 
 
 def make_state(config, load, gen, q_da=None, energies=None, hour=0, seed=0):
@@ -186,7 +194,7 @@ class TestReset:
     def test_reference_fleet_initial_storage(self):
         state, obs = reset(quiet_config(), seed=7)
         assert obs.soc.shape == (4,)
-        assert [s.energy for s in state.ess] == [0, 2, 0, 20]
+        assert [s.energy for s in ess(state)] == [0, 2, 0, 20]
 
     def test_same_seed_identical_states(self):
         cfg = EnvConfig()
@@ -477,7 +485,7 @@ class TestStep:
                         rec, env.state.load[i, t], env.state.gen[i, t]
                     )
                     assert abs(residual) <= 1e-9
-                for i, s in enumerate(env.state.ess):
+                for i, s in enumerate(ess(env.state)):
                     p = cfg.fleet[i]
                     assert p.e_min - 1e-9 <= s.energy <= p.e_max + 1e-9
 
@@ -552,9 +560,9 @@ class TestStep:
         env.reset(seed=4)
         for _ in range(24):
             env.step([Action(0.0, 0.0, 1.0)] * 4)
-        final = [s.energy for s in env.state.ess]
+        final = [s.energy for s in ess(env.state)]
         env.reset(seed=4)
-        assert [s.energy for s in env.state.ess] == final
+        assert [s.energy for s in ess(env.state)] == final
 
     @pytest.mark.parametrize("joint,message", [
         ([Action(0.3, 0.5, 0.3), Action(0.3, 0.5, 0.2),
@@ -578,14 +586,14 @@ class TestStep:
         env = TradingEnv(quiet_config())
         env.reset(seed=5)
         env.step([Action(0.0, 0.0, 0.7)] * 4)
-        before = list(env.state.ess)
+        before = ess(env.state)
         with pytest.raises(InvalidAction, match=message) as info:
             env.step(joint)
         assert isinstance(info.value, GridTradeError)
         assert isinstance(info.value, ValueError)
         assert env.state.hour == 1
-        assert env.state.ess == before
-        assert [s.reservation for s in env.state.ess] == [0.7] * 4
+        assert ess(env.state) == before
+        assert [s.reservation for s in ess(env.state)] == [0.7] * 4
 
     def test_step_record_is_json_serializable(self):
         import json
@@ -596,6 +604,20 @@ class TestStep:
         result = env.step(actions)
         payload = json.dumps(step_record(0, 0, actions, result))
         assert "rewards" in payload
+
+    def test_step_record_holds_fleet_columns(self):
+        env = TradingEnv(EnvConfig())
+        env.reset(seed=3)
+        actions = np.array([[0.6, 0.5, 1.0], [-0.2, 0.9, 0.5], [0.9, 0.3, 0.0], [-0.7, 1.0, 1.0]])
+        result = env.step(actions)
+        record = step_record(0, 0, actions, result)
+        settled = record["settlements"]
+        assert tuple(settled) == RECORD_FIELDS
+        for name in RECORD_FIELDS:
+            column = getattr(result.settlements, name)
+            assert [repr(x) for x in settled[name]] == [repr(x) for x in column.tolist()]
+        assert tuple(record["actions"]) == Action._fields
+        assert list(zip(*record["actions"].values())) == [tuple(a) for a in actions.tolist()]
 
 
 def random_fleet(rng, n):

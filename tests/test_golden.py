@@ -29,19 +29,19 @@ from gridtrade.market import (
 # equal greedy's; the large book below pins the concession rounds.
 SIMULATE = {
     "jpq": {
-        "trajectory.jsonl": "a9f20e34aa8bbae75bf7c99fde9b9424c64e0d6f8e4c23b1e5d2a0b115c4754d",
+        "trajectory.jsonl": "454e497a0c4527a57da3ece4694fcdc9866f2da145542f586642a3f97818bd0e",
         "metrics.csv": "d12fc30c2292979f7da823e78e18070e30ad4829d19af7584d3ebf31662173e7",
     },
     "greedy": {
-        "trajectory.jsonl": "198b53d4cb8a1267a99693e1993a6b36ce5c3c7eabf541c7c62b95c9eebe3ca0",
+        "trajectory.jsonl": "057f10196ce8188326027425179eddb8bc0293112aff7ccd0fa760ec4efecf26",
         "metrics.csv": "a32edafb7be3da538a45d1670b6d7b00622adac0e21543d117dc863d9b86e4fc",
     },
     "mrda": {
-        "trajectory.jsonl": "198b53d4cb8a1267a99693e1993a6b36ce5c3c7eabf541c7c62b95c9eebe3ca0",
+        "trajectory.jsonl": "057f10196ce8188326027425179eddb8bc0293112aff7ccd0fa760ec4efecf26",
         "metrics.csv": "a32edafb7be3da538a45d1670b6d7b00622adac0e21543d117dc863d9b86e4fc",
     },
     "vvda": {
-        "trajectory.jsonl": "acf45db18548146e3fcbeb1deb0385114a23d902db931ab864e485c3c4df90fa",
+        "trajectory.jsonl": "1a46d288c1536ed96715ab785e77bf3caee73184bd3344d5de170c16f9344b57",
         "metrics.csv": "4e32f5cf90b4e8c9cb929d7f09a1f6a7adf4de8d52ce9be24b22c993bd42a532",
     },
 }
@@ -66,11 +66,11 @@ TRAIN_ROUNDS_LEARNER = {
 # by 16, one episode; these exercise the n=64 paths of the environment.
 FLEET64 = {
     "jpq": {
-        "trajectory.jsonl": "29380bde563e27f1702076fdd87e2fc80fc8a3a857d8d91ac832890df36940d5",
+        "trajectory.jsonl": "6e095087f218a23e409326df4b6595e051660a7faaf28cd83a4477152a80c4ff",
         "metrics.csv": "fa23962940c63094e3e015487f1867aafc4b74f9865c08e83727144a08bf4f7c",
     },
     "vvda": {
-        "trajectory.jsonl": "f7761e2ea2aa4e52f202dda76d9aeda16641a80055badce1e13f335402ddcb5d",
+        "trajectory.jsonl": "f611762057d2f96ee4e0dd9e2680967fe995a3d334e7fbbb3279ab684daa32cb",
         "metrics.csv": "51bc269d660afce06b5985903be388313314ba9d5b096879d853850c3a2f2ccf",
     },
 }

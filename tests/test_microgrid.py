@@ -1,6 +1,6 @@
 """Microgrid physics and settlement tests."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from gridtrade.market import BALANCED, PriceEnvelope, Quotation, clear_jpq
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
+    RECORD_FIELDS,
     EssState,
     FleetParams,
+    FleetSettlement,
     MicrogridParams,
     SettlementRecord,
+    _max,
+    _min,
+    _pos,
     balance_residual,
     day_ahead_quantity,
     grid_profit,
@@ -300,6 +305,91 @@ class TestVectorSettlementOracle:
         assert gen + q_da + q_b - load - q_s == 0.0
         assert params.eta_ch < 1 and params.eta_dis < 1
         assert state.energy > state.reservation * params.e_max
+
+
+def reference_settle_and_balance(load, gen, q_da, q_b, q_s, energy, reservation, prices, dt,
+                                 plant) -> FleetSettlement:
+    """The fleet settlement written with `_max`/`_min` (Python's tie rule at
+    every clamp), kept as the oracle of `settle_and_balance`'s `np.maximum`/
+    `np.minimum` form."""
+    p = plant
+    zero = np.zeros(len(energy))
+    cap = _max(p.e_min, reservation * p.e_max)
+    balance = gen + q_da + q_b - load - q_s
+    bus_shed = _min(_max(zero, energy - cap) * p.eta_dis, p.t_discharge_max * dt)
+    energy = energy - bus_shed / p.eta_dis
+    balance = balance + bus_shed
+    surplus, deficit = balance > zero, balance < zero
+    headroom = _max(zero, cap - energy) / p.eta_ch
+    bus_charge = np.where(surplus, _min(_min(balance, p.t_charge_max * dt), headroom), zero)
+    rate_left = _max(zero, p.t_discharge_max * dt - bus_shed)
+    available = _max(zero, energy - p.e_min) * p.eta_dis
+    bus_cover = np.where(deficit, _min(_min(-balance, rate_left), available), zero)
+    energy = np.where(surplus, energy + bus_charge * p.eta_ch, energy - bus_cover / p.eta_dis)
+    balance = balance - bus_charge + bus_cover
+    q_fit = _max(zero, balance)
+    q_e = _max(zero, -balance)
+    return FleetSettlement(
+        q_da=q_da, q_b=q_b, q_s=q_s, q_e=q_e, q_fit=q_fit,
+        t_ess=(bus_charge - bus_shed - bus_cover) / dt,
+        profit_grid=grid_profit(q_fit, q_e, prices), profit_p2p=zero, energy=energy,
+    )
+
+
+def signed_zeros(rng, x, share=0.2):
+    """`x` with about `share` of its entries replaced by 0.0 or -0.0."""
+    hit = rng.random(x.shape) < share
+    return np.where(hit, np.where(rng.random(x.shape) < 0.5, 0.0, -0.0), x)
+
+
+def settlement_draws(rng, draws, n):
+    """`draws` seeded fleet hours of n microgrids, as (draws, n) arrays: flows
+    and plant on a coarse grid half the time, so clamps tie, and signed zeros
+    in every flow, storage and capacity input."""
+    shape = (draws, n)
+
+    def amount(scale):
+        grid = rng.integers(0, 9, shape) * (scale / 8)
+        return np.where(rng.random(shape) < 0.5, grid, rng.uniform(0, scale, shape))
+
+    e_max = signed_zeros(rng, amount(30.0))
+    e_min = signed_zeros(rng, np.minimum(amount(5.0), e_max))
+    rates = [np.where(rng.random(shape) < 0.5, rng.integers(1, 5, shape) * 1.0,
+                      rng.uniform(0.5, 10, shape)) for _ in range(2)]
+    etas = [np.where(rng.random(shape) < 0.5, 1.0, rng.uniform(0.3, 1.0, shape))
+            for _ in range(2)]
+    ones = np.ones(shape)
+    plant = FleetParams(l_max=25 * ones, g_max=5 * ones, e_max=e_max, t_charge_max=rates[0],
+                        t_discharge_max=rates[1], e0=e_min, beta=0.95 * ones, e_min=e_min,
+                        eta_ch=etas[0], eta_dis=etas[1])
+    reservation = np.array([-0.0, 0.0, 0.5, 1.0, 2.0])[rng.integers(0, 5, shape)]
+    reservation = np.where(reservation == 2.0, rng.random(shape), reservation)
+    flows = [signed_zeros(rng, amount(12.0)) for _ in range(5)]
+    energy = signed_zeros(rng, amount(30.0))
+    dts = np.where(rng.random(draws) < 0.8, 1.0, 0.5)
+    for k in range(draws):
+        yield dict(zip(("load", "gen", "q_da", "q_b", "q_s"), (f[k] for f in flows)),
+                   energy=energy[k], reservation=reservation[k], prices=PRICES,
+                   dt=float(dts[k]), plant=FleetParams(*(getattr(plant, f.name)[k]
+                                                         for f in fields(FleetParams))))
+
+
+class TestSettlementAgainstTieRuleReference:
+    """`settle_and_balance` clamps with `np.maximum`/`np.minimum` and `_pos`;
+    every column equals the tie-rule reference bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_every_column_bitwise_equal(self, n):
+        rng = np.random.default_rng(12 + n)
+        for k, draw in enumerate(settlement_draws(rng, 10_000, n)):
+            got = settle_and_balance(**draw)
+            want = reference_settle_and_balance(**draw)
+            for name in (*RECORD_FIELDS, "energy"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (k, name)
+
+    def test_pos_is_python_max_with_zero(self):
+        x = np.array([-0.0, 0.0, -1.5, 2.5, 5e-324, -5e-324, 1e308])
+        assert _pos(x).tobytes() == np.array([max(0.0, v) for v in x.tolist()]).tobytes()
 
 
 class TestProfits:

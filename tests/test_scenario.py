@@ -15,14 +15,24 @@ from gridtrade.scenario import (
     bundled_price_schedule,
     bundled_profile,
     draw_day,
-    emergency_price,
     hourly_shape,
-    normalize_annual,
     rng_stream,
     sample_realization,
 )
 
 W = 8  # the default observation window
+
+
+def normalize_annual(load_series, pv_series) -> DailyProfile:
+    """A representative daily profile from raw hourly load and PV data."""
+    return DailyProfile(load=hourly_shape(load_series), pv=hourly_shape(pv_series))
+
+
+def emergency_price(t: int, schedule: PriceSchedule) -> float:
+    """The emergency price for hour t (0..23)."""
+    if not (0 <= t < HOURS):
+        raise IndexOutOfRange(f"hour {t} outside [0, {HOURS})")
+    return float(schedule.emergency[t])
 
 
 def day_draws(seed, agents, window_len=W):
