@@ -51,6 +51,7 @@ from .microgrid import (
     p2p_profit,
     settle_and_balance,
 )
+from .money import from_micro
 from .scenario import (
     HOURS,
     STREAM_DAY,
@@ -100,8 +101,9 @@ class EnvConfig:
             raise ConfigInvalid("profiles: need one profile per fleet member")
         if not (1 <= self.horizon <= HOURS):
             raise ConfigInvalid(f"horizon: must be in [1, {HOURS}], got {self.horizon}")
-        if self.delta_past < 0 or self.delta_future < 0:
-            raise ConfigInvalid("delta_past/delta_future must be non-negative")
+        if not (0 <= self.delta_past < HOURS and 0 <= self.delta_future < HOURS):
+            raise ConfigInvalid(f"window: past and future must be whole hours in [0, {HOURS - 1}], "
+                                f"got {self.delta_past!r} and {self.delta_future!r}")
         if self.process_sigma < 0 or self.obs_sigma < 0:
             raise ConfigInvalid("noise sigmas must be non-negative")
         if not (self.m_lower <= self.m_upper):
@@ -249,6 +251,7 @@ class StepResult:
     ledger: TradeLedger
     settlements: FleetSettlement   # (n,) columns; indexes as SettlementRecords
     done: bool
+    operator_surplus: float        # payments minus receipts, from exact micro-units
 
 
 def day_windows(
@@ -467,12 +470,13 @@ def step(state: GlobalState, joint_action) -> StepResult:
         plant=cfg.plant,
     )
     fleet.profit_p2p = np.array(p2p_profit(totals.received_micro, totals.paid_micro))
+    surplus = from_micro(sum(totals.paid_micro) - sum(totals.received_micro))
 
     state.energy = fleet.energy
     state.hour += 1
     state.market_factor = None
     done = state.hour >= cfg.horizon
-    return StepResult(build_observation(state), fleet.reward, ledger, fleet, done)
+    return StepResult(build_observation(state), fleet.reward, ledger, fleet, done, surplus)
 
 
 class TradingEnv:
@@ -576,7 +580,7 @@ def step_record(episode: int, hour: int, actions, result: StepResult) -> dict:
                 [t.buyer_id, t.seller_id, t.quantity, t.buyer_price, t.seller_price]
                 for t in result.ledger.trades
             ],
-            "operator_surplus": result.ledger.operator_surplus(),
+            "operator_surplus": result.operator_surplus,
         },
         "settlements": {name: getattr(settled, name).tolist() for name in RECORD_FIELDS},
         "soc": result.observations.soc.tolist(),

@@ -11,10 +11,11 @@ two-layer ReLU trunk, and outputs a diagonal Gaussian squashed onto the
 action box by tanh. The critic is a plain feedforward value network over
 the concatenation of all agents' observation vectors.
 
-Every network carries a no-grad numpy fast path (`distribution`, `value`)
-for rollouts and a taped path (`forward_seq`, `forward`) for updates; both
-read the same parameter arrays, and both actor paths step the LSTM through
-`autodiff.lstm_cell`.
+Every network carries a no-grad numpy fast path and a taped path for
+updates (`forward_seq`, `forward`); both read the same parameter arrays.
+The actor's fast path, `distribution`, steps the rollout one hour at a
+time, and both actor paths step the LSTM through `autodiff.lstm_cell`. The
+critic's, `value`, labels a whole update round's steps in one call.
 """
 
 from __future__ import annotations
@@ -59,17 +60,16 @@ def gaussian_logp(u, mean, log_std, exp=np.exp):
 
 class DiagGaussian:
     """Squashed diagonal Gaussians over the action box, one per row of
-    `mean` (numpy, rollout side)."""
+    `mean` (numpy, rollout side). `mean` may carry leading axes, such as
+    (T, n, action_dim) for a whole day, over which `log_std` broadcasts."""
 
     def __init__(self, mean: np.ndarray, log_std: np.ndarray):
         self.mean = mean
         self.log_std = np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
-    def sample(self, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (actions in box, pre-squash values); row k's normals come
-        from `rngs[k]`."""
-        dim = self.mean.shape[-1]
-        noise = np.stack([rng.standard_normal(dim) for rng in rngs])
+    def sample(self, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(actions in box, pre-squash values) from the standard normals
+        `noise`, one row per row of `mean`."""
         u = self.mean + np.exp(self.log_std) * noise
         return squash(u), u
 
@@ -220,8 +220,8 @@ class CriticNet:
         return self.head(z)
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """No-grad values (n, B) of the (B, input_dim) or (input_dim,) inputs."""
-        z = np.maximum(self.fc1.fast(np.atleast_2d(x)), 0.0)
+        """No-grad values (n, B) of the (B, input_dim) inputs."""
+        z = np.maximum(self.fc1.fast(x), 0.0)
         z = np.maximum(self.fc2.fast(z), 0.0)
         return self.head.fast(z)[..., 0]
 

@@ -6,12 +6,23 @@ the fleet's observation matrix); per-agent critics see the concatenation
 of every agent's observation vector (centralized training, decentralized
 execution). The fleet is the unit of the learner: one `PolicyNet` and one
 `CriticNet` hold every agent's weights along a leading agent axis, so each
-hour of a rollout and each minibatch of an update runs every agent's
-actor and critic as one batched computation. Each episode is buffered as
-(T, n, ...) fleet arrays; an update round stacks its episodes once,
-advantage-labels every (episode, agent) column with GAE and replays them
-for several epochs of clipped-surrogate updates, with advantages
-normalized per agent and minibatch.
+rollout hour and each minibatch runs every agent as one batched
+computation.
+
+The rollout runs only the actor, as execution would. Before a day starts,
+each agent's sampling stream hands out the whole day's standard normals as
+one (T, 3) block. Each hour then writes the fleet's normalized observation
+into the day's (T, n, D) buffer, makes one `PolicyNet.distribution` step
+and one `DiagGaussian.sample`. After the day, one `log_prob` call over the
+(T, n, 3) means and pre-squash values gives the old log-probabilities.
+The critics run only in the update: no weights change between a round's
+rollouts and its update, so one `CriticNet.value` call over the round's
+(E*T, n*D) global observations gives the values the hours would have.
+
+An update round stacks its episodes once, advantage-labels every
+(episode, agent) column with GAE and replays them for several epochs of
+clipped-surrogate updates, with advantages normalized per agent and
+minibatch.
 
 Everything is deterministic given (env config, hyperparameters, seed):
 network init, action sampling, minibatch shuffling, and the environment
@@ -37,7 +48,7 @@ from ..env import (
     rollout_day,
 )
 from ..scenario import rng_stream
-from .nets import CriticNet, PolicyNet
+from .nets import CriticNet, DiagGaussian, PolicyNet
 from .ppo import (
     OPTIMIZERS,
     actor_loss,
@@ -53,15 +64,21 @@ TAG_SAMPLE = 1001
 TAG_INIT = 1002
 TAG_SHUFFLE = 1003
 
+#: the largest layer width a config may ask for (the paper-scale critic's
+#: first layer is 2056)
+MAX_HIDDEN = 4096
+
 
 def _real(value) -> bool:
     """A finite int or float; a bool or a string is not a number here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _require_whole(name: str, value, least: int) -> None:
+def _require_whole(name: str, value, least: int, most: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +109,9 @@ class Hyperparams:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0 and 0.0 < self.lam < 1.0):
             raise ValueError("gamma and lam must lie in (0, 1)")
-        for name, least in (("epochs", 1), ("episodes", 0), ("episodes_per_update", 1),
-                            ("lstm_hidden", 1)):
+        for name, least in (("epochs", 1), ("episodes", 0), ("episodes_per_update", 1)):
             _require_whole(name, getattr(self, name), least)
+        _require_whole("lstm_hidden", self.lstm_hidden, 1, MAX_HIDDEN)
         # advantages are normalized per minibatch, which needs two steps
         _require_whole("minibatch_size", self.minibatch_size, 2)
         for name in ("actor_hidden", "critic_hidden"):
@@ -102,7 +119,7 @@ class Hyperparams:
             if len(sizes) != 2:
                 raise ValueError(f"{name} must hold 2 layer sizes, got {sizes!r}")
             for size in sizes:
-                _require_whole(name, size, 1)
+                _require_whole(name, size, 1, MAX_HIDDEN)
         for name in ("clip_eps", "lr_actor", "lr_critic", "reward_scale"):
             if not _real(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be a positive finite number, "
@@ -204,6 +221,12 @@ def build_nets(config: EnvConfig, hyper: Hyperparams, seed: int) -> FleetNets:
     return FleetNets(actor, critic)
 
 
+def day_noise(rngs, hours: int) -> np.ndarray:
+    """One day's (hours, n, ACTION_DIM) sampling normals: column k is one
+    block from `rngs[k]`, the same draws as one ACTION_DIM call per hour."""
+    return np.stack([rng.standard_normal((hours, ACTION_DIM)) for rng in rngs], axis=1)
+
+
 def train(
     env_config: EnvConfig,
     hyper: Hyperparams,
@@ -218,7 +241,7 @@ def train(
     the schedule it would have seen.
     """
     env = TradingEnv(env_config)
-    n = env_config.n_agents
+    n, T, D = env_config.n_agents, env_config.horizon, observation_dim(env_config)
     normalizer = ObsNormalizer(env_config)
     if nets is None:
         nets = build_nets(env_config, hyper, seed)
@@ -233,21 +256,22 @@ def train(
     pending: list[tuple] = []  # each episode's (T, n, ...) fleet arrays
     for ep_off in range(hyper.episodes):
         episode = start_episode + ep_off
+        noise = day_noise(sample_rngs, T)
+        obs_day = np.empty((T, n, D))
+        means, presquash = np.empty((T, n, ACTION_DIM)), np.empty((T, n, ACTION_DIM))
         hidden = actor.initial_hidden()
-        hours = []  # each hour's normalized observations, presquash samples, logp, values
 
         def act(hour, obs):
             nonlocal hidden
-            norm_obs = normalizer(obs.as_matrix())
-            dist, hidden = actor.distribution(norm_obs, hidden)
-            actions, presquash = dist.sample(sample_rngs)
-            values = critic.value(norm_obs.reshape(-1))[:, 0]
-            hours.append((norm_obs, presquash, dist.log_prob(presquash), values))
+            obs_day[hour] = normalizer(obs.as_matrix())
+            dist, hidden = actor.distribution(obs_day[hour], hidden)
+            means[hour] = dist.mean
+            actions, presquash[hour] = dist.sample(noise[hour])
             return actions
 
         series = rollout_day(env, episode_seed(seed, episode), act)
-        stacked = (np.stack(x) for x in zip(*hours))  # (T, n, ...)
-        pending.append((*stacked, series[0] * hyper.reward_scale))
+        logp = DiagGaussian(means, actor.log_std.data[:, 0]).log_prob(presquash)
+        pending.append((obs_day, presquash, logp, series[0] * hyper.reward_scale))
         if len(pending) >= hyper.episodes_per_update or ep_off == hyper.episodes - 1:
             _update_agents(nets, pending, actor_opt, critic_opt, hyper, shuffle_rng)
             pending = []
@@ -278,24 +302,26 @@ def _minibatches(total: int, size: int) -> list[tuple[int, int]]:
 def _update_agents(nets, pending, actor_opt, critic_opt, hyper, shuffle_rng):
     """One PPO update round over the buffered episodes.
 
-    `pending` holds each episode's (normalized obs, presquash, logp, values,
-    scaled rewards) fleet arrays, stacked here once into (E, T, n, ...).
-    GAE labels every (episode, agent) column in one call. Each minibatch
-    re-runs every agent's recurrent actor over all E episodes in one
-    batched pass (hidden state resets at episode boundaries), and every
-    critic reads the same (E*T, n*obs_dim) global observations. One
-    backward pass and one optimizer step per role update the whole fleet.
-    Minibatches index into the steps flattened in episode order.
+    `pending` holds each episode's (normalized obs, presquash, logp, scaled
+    rewards) fleet arrays, stacked here once into (E, T, n, ...). One
+    critic call values every step for every agent, and GAE labels every
+    (episode, agent) column in one call. Each minibatch re-runs every
+    agent's recurrent actor over all E episodes in one batched pass (hidden
+    state resets at episode boundaries), and every critic reads the same
+    (E*T, n*obs_dim) global observations. One backward pass and one
+    optimizer step per role update the whole fleet. Minibatches index into
+    the steps flattened in episode order.
     """
-    obs, presquash, logp_old, values, rewards = (np.stack(x) for x in zip(*pending))
+    obs, presquash, logp_old, rewards = (np.stack(x) for x in zip(*pending))
     E, T, n = logp_old.shape
+    global_obs = obs.reshape(E * T, -1)
+    values = nets.critic.value(global_obs).T.reshape(E, T, n)
     adv = compute_gae(
         rewards.swapaxes(0, 1), values.swapaxes(0, 1), 0.0, hyper.gamma, hyper.lam
     ).swapaxes(0, 1)
     # (E*T, n) per-step columns, and the centralized critics' shared input
     targets = (adv + values).reshape(E * T, n)
     adv, logp_old = adv.reshape(E * T, n), logp_old.reshape(E * T, n)
-    global_obs = obs.reshape(E * T, -1)
     # each agent's own episodes, (n, E, T, ...)
     agent_obs = obs.transpose(2, 0, 1, 3)
     agent_presquash = presquash.transpose(2, 0, 1, 3)

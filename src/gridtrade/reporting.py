@@ -231,19 +231,25 @@ def load_checkpoint(
         raise ChecksumMismatch(f"checkpoint {path} lacks {', '.join(missing)}")
     agents = payload["agents"]
     if not isinstance(agents, list) or not all(
-        isinstance(blob, dict) and "actor" in blob and "critic" in blob for blob in agents
+        isinstance(blob, dict) and isinstance(blob.get("actor"), list)
+        and isinstance(blob.get("critic"), list)
+        for blob in agents
     ):
-        raise ChecksumMismatch(f"checkpoint {path} has an agent without actor and critic")
+        raise ChecksumMismatch(f"checkpoint {path} has an agent without actor and critic lists")
+    episode = payload["episode"]
+    if isinstance(episode, bool) or not isinstance(episode, int) or episode < 0:
+        raise ChecksumMismatch(f"checkpoint {path} episode is not a count: {episode!r}")
     if payload["version"] != CHECKPOINT_VERSION:
         raise ChecksumMismatch(
             f"checkpoint version {payload['version']} not supported"
         )
     stored = payload["hyper"]
-    if (
-        stored["lstm_hidden"] != hyper.lstm_hidden
-        or tuple(stored["actor_hidden"]) != tuple(hyper.actor_hidden)
-        or tuple(stored["critic_hidden"]) != tuple(hyper.critic_hidden)
-    ):
+    sizes = ("lstm_hidden", "actor_hidden", "critic_hidden")
+    if not isinstance(stored, dict) or not all(key in stored for key in sizes):
+        raise ChecksumMismatch(f"checkpoint {path} hyper lacks the network sizes")
+    if [stored[key] for key in sizes] != [
+        hyper.lstm_hidden, list(hyper.actor_hidden), list(hyper.critic_hidden)
+    ]:
         raise ChecksumMismatch(
             "checkpoint network sizes do not match the configured learner"
         )
@@ -260,7 +266,7 @@ def load_checkpoint(
                 raise ChecksumMismatch(
                     f"checkpoint agent {i} {part} does not fit the configured nets: {e}"
                 ) from e
-    return nets, int(payload["episode"])
+    return nets, episode
 
 
 def write_manifest(

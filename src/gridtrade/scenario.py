@@ -18,6 +18,7 @@ STREAM_ACTION, hour).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,11 +147,14 @@ def hourly_shape(series) -> np.ndarray:
 # Bundled defaults
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def bundled_profile(index: int) -> DailyProfile:
     """Synthetic household profile: evening-peak load, midday PV bell.
 
     The four variants differ slightly in peak position and width so the
-    fleet is heterogeneous; shapes are deterministic closed forms.
+    fleet is heterogeneous; shapes are deterministic closed forms, built
+    once per index and process. Every caller shares the result, so its
+    arrays are read-only.
     """
     h = np.arange(HOURS, dtype=float)
     evening = np.exp(-0.5 * ((h - (18.5 + 0.5 * (index % 4))) / 2.5) ** 2)
@@ -165,6 +169,7 @@ def bundled_profile(index: int) -> DailyProfile:
     pv[(h < 6) | (h > 20)] = 0.0  # no output outside daylight
     pv[pv < 0.02] = 0.0
     pv = pv / pv.max()
+    load.flags.writeable = pv.flags.writeable = False
     return DailyProfile(load=load, pv=pv)
 
 

@@ -176,6 +176,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ck) in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("hyper", [4, [8, 8], [8, 8]]),
+        ("hyper", {"actor_hidden": [8, 8], "critic_hidden": [8, 8]}),
+        ("hyper", {"lstm_hidden": 4, "critic_hidden": [8, 8]}),
+        ("hyper", {"lstm_hidden": 4, "actor_hidden": [8, 8]}),
+        ("episode", "3"),
+        ("episode", [3]),
+        ("episode", True),
+        ("episode", -1),
+        ("actor", {"weights": [0.5]}),
+        ("critic", {"weights": [0.5]}),
+    ], ids=["hyper-list", "hyper-no-lstm-hidden", "hyper-no-actor-hidden",
+            "hyper-no-critic-hidden", "episode-string", "episode-list", "episode-bool",
+            "episode-negative", "actor-mapping", "critic-mapping"])
+    def test_resume_from_a_payload_with_a_mistyped_field_exits_1(self, tmp_path, capsys,
+                                                               field, value):
+        out = tmp_path / "tr"
+        cfg = write_cfg(tmp_path, **FAST_LEARNER)
+        assert main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                     "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        payload = json.loads(ck.read_text())["payload"]
+        if field in ("actor", "critic"):
+            payload["agents"][1][field] = value
+        else:
+            payload[field] = value
+        ck.write_text(json.dumps({"checksum": _payload_checksum(payload), "payload": payload}))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(ck)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ck) in err
+        with pytest.raises(ChecksumMismatch):
+            load_checkpoint(ck, EnvConfig(), Hyperparams(**{
+                **FAST_LEARNER["learner"], "actor_hidden": (8, 8), "critic_hidden": (8, 8)
+            }), seed=2)
+
     def test_resume_onto_another_fleets_metrics_exits_1_before_training(self, tmp_path, capsys):
         out = tmp_path / "tr"
         assert main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
@@ -476,10 +514,14 @@ class TestMalformedConfigValues:
         ("simulate", {"carry_over_soc": "no"}),
         ("simulate", {"disruption": {"use_reported": "no"}}),
         ("train", {"learner": {"minibatch_size": 1}}),
+        ("simulate", {"window": {"past": 10**30}, "episodes": 1}),
+        ("simulate", {"window": {"future": 10**30}, "episodes": 1}),
+        ("simulate", {"window": {"future": 24}, "episodes": 1}),
     ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
             "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop",
             "profiles-5", "prices-5", "window-past-1.5", "mrda-rounds-2.7", "carry-over-soc-no",
-            "use-reported-no", "minibatch-size-1"])
+            "use-reported-no", "minibatch-size-1", "window-past-1e30", "window-future-1e30",
+            "window-future-24"])
     def test_exit_code_2(self, command, raw, tmp_path, capsys):
         argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
         if "episodes" not in raw:
@@ -499,9 +541,13 @@ class TestMalformedConfigValues:
         {"reward_scale": float("nan")},
         {"log_std_init": float("inf")},
         {"episodes_per_update": 2.5},
+        {"lstm_hidden": 10**30},
+        {"actor_hidden": [8, 10**30]},
+        {"critic_hidden": [10**30, 8]},
     ], ids=["lstm-hidden-0", "actor-hidden-0", "critic-hidden-one-layer", "action-bias-2",
             "minibatch-size-2.5", "lr-actor-nan", "lr-actor-negative", "reward-scale-nan",
-            "log-std-init-inf", "episodes-per-update-2.5"])
+            "log-std-init-inf", "episodes-per-update-2.5", "lstm-hidden-1e30",
+            "actor-hidden-1e30", "critic-hidden-1e30"])
     def test_bad_learner_value_exit_code_2(self, learner, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["train", "--config", write_cfg(tmp_path, learner=learner),

@@ -605,6 +605,20 @@ class TestStep:
         payload = json.dumps(step_record(0, 0, actions, result))
         assert "rewards" in payload
 
+    @pytest.mark.parametrize("mechanism", ["jpq", "greedy", "mrda", "vvda"])
+    def test_step_carries_the_ledgers_operator_surplus(self, mechanism):
+        env = TradingEnv(EnvConfig(mechanism=mechanism))
+        rng = np.random.default_rng(60)
+        surpluses = []
+        for seed in range(3):
+            env.reset(seed=seed)
+            for _ in range(24):
+                result = env.step(rng.uniform([-1, 0, 0], [1, 1, 1], (4, 3)))
+                assert repr(result.operator_surplus) == repr(result.ledger.operator_surplus())
+                surpluses.append(result.operator_surplus)
+        # only VVDA's operator keeps money
+        assert any(surpluses) == (mechanism == "vvda")
+
     def test_step_record_holds_fleet_columns(self):
         env = TradingEnv(EnvConfig())
         env.reset(seed=3)

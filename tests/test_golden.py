@@ -48,12 +48,12 @@ SIMULATE = {
 COMPARE = {"comparison.csv": "f20dde351854bdc752454b97ebc7f4cd533156daa238919734dae95865749b08"}
 TRAIN = {
     "metrics.csv": "3d601436977b98580a62a808e68a2eebde2d2af75e0b8ae51c7008565112356b",
-    "checkpoint.json": "742fdfc6759f462e846dce4623d1a561f0f23f4bc8449535d11af705a3a94a24",
+    "checkpoint.json": "24aee1251774d9a0fe91a9a3f3abebc3beafa12579ed874fdfc4208d7d49b8d9",
 }
 # 10 episodes in update rounds of 4, 4 and a partial 2, with small nets.
 TRAIN_ROUNDS = {
     "metrics.csv": "471ec6633e84ae74b5d52a73842ccad76499510870d17023baf36156aee557cd",
-    "checkpoint.json": "65d3595326df74f262e1aa3bd2b20cedbd90d582b0e4b1e72d5c7ff5b4e1bd82",
+    "checkpoint.json": "f721b77ca98d411340e18f09e06c413958fc53fc78bfcab0158d1a0ab042bfc9",
 }
 TRAIN_ROUNDS_LEARNER = {
     "episodes_per_update": 4,

@@ -18,7 +18,16 @@ from gridtrade.env import (
     rollout_day,
 )
 from gridtrade.errors import ShapeMismatch
-from gridtrade.marl.autodiff import Tensor, clip, concat, lstm_seq, relu, sigmoid, tanh
+from gridtrade.marl.autodiff import (
+    Tensor,
+    clip,
+    concat,
+    lstm_cell,
+    lstm_seq,
+    relu,
+    sigmoid,
+    tanh,
+)
 from gridtrade.marl.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -249,7 +258,7 @@ class TestSquashedGaussian:
         mean = rng.normal(size=3)
         log_std = rng.uniform(-1, 0, 3)
         dist = DiagGaussian(mean.reshape(1, 3), log_std.reshape(1, 3))
-        _, u = dist.sample([rng])
+        _, u = dist.sample(rng.standard_normal((1, 3)))
         rollout_logp = dist.log_prob(u)[0]
         taped_logp, _ = policy_logp_and_entropy(
             Tensor(mean.reshape(1, 3)), Tensor(log_std), u
@@ -259,8 +268,8 @@ class TestSquashedGaussian:
     def test_each_row_samples_from_its_own_stream(self):
         mean = np.array([[0.1, -0.2, 0.3], [0.5, 0.0, -1.0]])
         log_std = np.full((2, 3), -0.7)
-        _, u = DiagGaussian(mean, log_std).sample([np.random.default_rng(1),
-                                                   np.random.default_rng(2)])
+        noise = train_mod.day_noise([np.random.default_rng(1), np.random.default_rng(2)], 1)
+        _, u = DiagGaussian(mean, log_std).sample(noise[0])
         for k, seed in enumerate((1, 2)):
             noise = np.random.default_rng(seed).standard_normal(3)
             np.testing.assert_array_equal(u[k], mean[k] + np.exp(log_std[k]) * noise)
@@ -351,11 +360,11 @@ class TestPolicyNet:
         E, T, D = 2, 24, observation_dim(config)
         pending = [
             (rng.normal(size=(T, n, D)), rng.normal(size=(T, n, ACTION_DIM)),
-             rng.normal(-2.0, 0.1, (T, n)), rng.normal(size=(T, n)), rng.normal(size=(T, n)))
+             rng.normal(-2.0, 0.1, (T, n)), rng.normal(size=(T, n)))
             for _ in range(E)
         ]
         perturbed = [tuple(a.copy() for a in episode) for episode in pending]
-        for _, presquash, logp_old, _, rewards in perturbed:
+        for _, presquash, logp_old, rewards in perturbed:
             presquash[:, j] += 0.5
             logp_old[:, j] -= 0.3
             rewards[:, j] *= -2.0  # moves agent j's advantages and critic targets
@@ -548,8 +557,9 @@ def reference_train(config, hyper, seed):
 
     Agent i owns a one-agent actor and critic (drawn from agent i's init
     streams) and its own optimizers. Each hour makes n `distribution`,
-    `sample`, `log_prob` and `value` calls; each minibatch makes n actor
-    forward passes, 2n backward passes and 2n optimizer steps.
+    `sample` and `log_prob` calls, each sample drawing its own 3 normals;
+    each round makes n `value` calls, and each minibatch n actor forward
+    passes, 2n backward passes and 2n optimizer steps.
     """
     env = TradingEnv(config)
     n = config.n_agents
@@ -577,16 +587,14 @@ def reference_train(config, hyper, seed):
 
         def act(hour, obs):
             norm_obs = normalizer(obs.as_matrix())
-            global_obs = norm_obs.reshape(-1)
             actions, presquash = np.empty((n, ACTION_DIM)), np.empty((n, ACTION_DIM))
-            logp, values = np.empty(n), np.empty(n)
+            logp = np.empty(n)
             for i in range(n):
                 dist, hidden[i] = actors[i].distribution(norm_obs[i : i + 1], hidden[i])
-                action, u = dist.sample([sample_rngs[i]])
+                action, u = dist.sample(sample_rngs[i].standard_normal((1, ACTION_DIM)))
                 actions[i], presquash[i] = action[0], u[0]
                 logp[i] = dist.log_prob(u)[0]
-                values[i] = critics[i].value(global_obs)[0, 0]
-            hours.append((norm_obs, presquash, logp, values))
+            hours.append((norm_obs, presquash, logp))
             return actions
 
         series = rollout_day(env, episode_seed(seed, episode), act)
@@ -600,14 +608,16 @@ def reference_train(config, hyper, seed):
 
 
 def reference_update(actors, critics, pending, actor_opts, critic_opts, hyper, shuffle_rng):
-    obs, presquash, logp_old, values, rewards = (np.stack(x) for x in zip(*pending))
+    obs, presquash, logp_old, rewards = (np.stack(x) for x in zip(*pending))
     E, T, n = logp_old.shape
+    global_obs = obs.reshape(E * T, -1)
+    values = np.stack([critic.value(global_obs)[0] for critic in critics], axis=-1)
+    values = values.reshape(E, T, n)
     adv = compute_gae(
         rewards.swapaxes(0, 1), values.swapaxes(0, 1), 0.0, hyper.gamma, hyper.lam
     ).swapaxes(0, 1)
     targets = (adv + values).reshape(E * T, n)
     adv, logp_old = adv.reshape(E * T, n), logp_old.reshape(E * T, n)
-    global_obs = obs.reshape(E * T, -1)
 
     total = E * T
     mb = min(hyper.minibatch_size, total)
@@ -680,3 +690,84 @@ class TestFleetLearner:
     ])
     def test_minibatch_bounds(self, total, size, bounds):
         assert train_mod._minibatches(total, size) == bounds
+
+
+def two_sigmoid_lstm_cell(z, c):
+    """The LSTM step as three gate slices, each activated on its own: the
+    layout `lstm_cell` replaced with one sigmoid over all four gates."""
+    H = c.shape[-1]
+    act = np.empty_like(z)
+    act[..., : 2 * H] = 1.0 / (1.0 + np.exp(-z[..., : 2 * H]))
+    act[..., 2 * H : 3 * H] = np.tanh(z[..., 2 * H : 3 * H])
+    act[..., 3 * H :] = 1.0 / (1.0 + np.exp(-z[..., 3 * H :]))
+    i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
+    c = f * c + i * g
+    tanh_c = np.tanh(c)
+    return act, c, tanh_c, o * tanh_c
+
+
+class TestActorOnlyRollout:
+    """The rollout's per-day noise and log-probs equal what an hour-by-hour
+    rollout computes, and the critics run only in the update, once a round."""
+
+    def test_day_noise_equals_per_hour_draws(self):
+        n, T = 3, 24
+        for seed in range(20):
+            blocks = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
+            hourly = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
+            for _day in range(3):
+                noise = train_mod.day_noise(blocks, T)
+                assert noise.shape == (T, n, ACTION_DIM)
+                for t in range(T):
+                    for k, rng in enumerate(hourly):
+                        assert noise[t, k].tobytes() == rng.standard_normal(ACTION_DIM).tobytes()
+
+    def test_day_log_prob_equals_per_hour_rows(self):
+        rng = np.random.default_rng(30)
+        T, n = 24, 4
+        for _ in range(50):
+            # some log-stds lie outside the clamp, so the clip is exercised too
+            log_std = rng.uniform(LOG_STD_MIN - 1.0, LOG_STD_MAX + 1.0, (n, ACTION_DIM))
+            means = rng.normal(size=(T, n, ACTION_DIM))
+            u = means + rng.normal(size=(T, n, ACTION_DIM))
+            day = DiagGaussian(means, log_std).log_prob(u)
+            hours = np.stack([DiagGaussian(means[t], log_std).log_prob(u[t]) for t in range(T)])
+            assert day.shape == (T, n)
+            assert day.tobytes() == hours.tobytes()
+
+    def test_lstm_cell_equals_two_sigmoid_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n, E, H = rng.integers(1, 5), rng.integers(1, 9), rng.integers(1, 40)
+            z = rng.normal(0.0, rng.uniform(0.1, 20.0), (n, E, 4 * H))
+            c = rng.normal(size=(n, E, H))
+            for got, want in zip(lstm_cell(z, c), two_sigmoid_lstm_cell(z, c)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_critic_runs_once_per_round_and_never_during_a_day(self, monkeypatch):
+        events = []
+
+        def recorded(name, fn):
+            def wrapped(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def update(*args):
+            events.append("update")
+            update_agents(*args)
+            events.append("updated")
+
+        update_agents = train_mod._update_agents
+        monkeypatch.setattr(CriticNet, "value", recorded("value", CriticNet.value))
+        monkeypatch.setattr(TradingEnv, "step", recorded("step", TradingEnv.step))
+        monkeypatch.setattr(train_mod, "_update_agents", update)
+        hyper = Hyperparams(episodes=5, episodes_per_update=2, epochs=1, lstm_hidden=4,
+                            actor_hidden=(8, 8), critic_hidden=(8, 8))
+        config = EnvConfig()
+        train(config, hyper, seed=4)
+
+        rounds = "".join({"step": "s", "value": "v", "update": "(", "updated": ")"}[e]
+                         for e in events)
+        day = "s" * config.horizon
+        assert rounds == (2 * day + "(v)") * 2 + day + "(v)"

@@ -136,6 +136,17 @@ class TestBundledDefaults:
             assert p.pv[:4].max() == 0.0  # no PV at night
         assert not np.allclose(profiles[0].load, profiles[1].load)
 
+    def test_profiles_built_once_and_read_only(self):
+        for i in range(6):
+            prof = bundled_profile(i)
+            assert bundled_profile(i) is prof
+            fresh = bundled_profile.__wrapped__(i)
+            for got, want in ((prof.load, fresh.load), (prof.pv, fresh.pv)):
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0.5
+
     def test_price_schedule_spans_range(self):
         sched = bundled_price_schedule()
         assert sched.feed_in == 0.2
