@@ -14,6 +14,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -168,13 +170,71 @@ def export_tidy(metrics_rows: list[dict], fmt: str) -> str:
 
 CHECKPOINT_VERSION = 1
 
+# A checkpoint file is the envelope {"checksum":"<sha256 hex>","payload":...}
+# in compact form, its payload rendered canonically: json.dumps with sorted
+# keys and compact separators.
+_ENVELOPE_HEAD = '{"checksum":"'
+_PAYLOAD_KEY = '","payload":'
+_PAYLOAD_START = len(_ENVELOPE_HEAD) + 64 + len(_PAYLOAD_KEY)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CHUNK = 4096  # values rendered per piece
+_HASH_PIECE = 1 << 20  # characters of a read file hashed per piece
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+def _encode(value) -> bytes:
+    return _ENCODER.encode(value).encode()
+
+
+def _render(value) -> Iterator[bytes]:
+    """The canonical JSON of `value`, json.dumps(value, sort_keys=True,
+    separators=(",", ":")), as byte pieces of a few thousand values at most.
+
+    Dicts and lists of containers render member by member, any other list a
+    slice at a time. An iterator of float arrays renders as the list of all
+    their values, so weights stream out without a whole-payload text.
+    """
+    if isinstance(value, dict):
+        yield b"{"
+        for i, key in enumerate(sorted(value)):
+            yield (b"," if i else b"") + _encode(key) + b":"
+            yield from _render(value[key])
+        yield b"}"
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        yield b"["
+        for i, item in enumerate(value):
+            if i:
+                yield b","
+            yield from _render(item)
+        yield b"]"
+    elif isinstance(value, (list, Iterator)):
+        pieces = (
+            (value[i : i + _CHUNK] for i in range(0, len(value), _CHUNK))
+            if isinstance(value, list) else (block.tolist() for block in value)
+        )
+        yield b"["
+        sep = b""
+        for piece in pieces:
+            if piece:
+                yield sep + _encode(piece)[1:-1]
+                sep = b","
+        yield b"]"
+    else:
+        yield _encode(value)
 
 
 def _payload_checksum(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload)).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _render(payload):
+        digest.update(piece)
+    return digest.hexdigest()
+
+
+def _weight_pieces(params, agent: int) -> Iterator[np.ndarray]:
+    """Agent `agent`'s weights in `flatten_params` order, `_CHUNK` at a time;
+    flattened only when first drawn, so one agent's net is copied at a time."""
+    flat = flatten_params(params, agent)
+    for start in range(0, flat.size, _CHUNK):
+        yield flat[start : start + _CHUNK]
 
 
 def save_checkpoint(
@@ -185,6 +245,12 @@ def save_checkpoint(
     seed: int,
     episode: int,
 ) -> None:
+    """Write the fleet's nets to `path`, replacing any file there only once
+    the new one is whole.
+
+    The payload is written and hashed one rendered piece at a time into a
+    sibling file; its checksum slot at the front is filled in last.
+    """
     payload = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -197,35 +263,90 @@ def save_checkpoint(
         },
         "agents": [
             {
-                "actor": flatten_params(nets.actor.params(), k).tolist(),
-                "critic": flatten_params(nets.critic.params(), k).tolist(),
+                "actor": _weight_pieces(nets.actor.params(), k),
+                "critic": _weight_pieces(nets.critic.params(), k),
             }
             for k in range(nets.actor.n_agents)
         ],
     }
-    # The payload is rendered once: the checksum is taken over the same
-    # canonical bytes that form the envelope's "payload" member.
-    body = _canonical(payload)
-    checksum = hashlib.sha256(body).hexdigest()
-    with file_errors(path, "write checkpoint"), open(path, "wb") as fh:
-        fh.write(b'{"checksum":"%s","payload":' % checksum.encode())
-        fh.write(body)
-        fh.write(b"}")
+    partial = path.with_name(path.name + ".partial")
+    digest = hashlib.sha256()
+    with file_errors(path, "write checkpoint"):
+        try:
+            with open(partial, "wb") as fh:
+                fh.write(f"{_ENVELOPE_HEAD}{'0' * 64}{_PAYLOAD_KEY}".encode())
+                for piece in _render(payload):
+                    digest.update(piece)
+                    fh.write(piece)
+                fh.write(b"}")
+                fh.seek(len(_ENVELOPE_HEAD))
+                fh.write(digest.hexdigest().encode())
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
+
+
+def _own_payload_checksum(text: str, envelope: dict) -> str | None:
+    """The sha256 of the payload's bytes as they stand in the file, if the
+    file has the writer's compact envelope; None otherwise."""
+    if not (
+        len(envelope) == 2
+        and text.startswith(_ENVELOPE_HEAD)
+        and text.startswith(_PAYLOAD_KEY, _PAYLOAD_START - len(_PAYLOAD_KEY))
+        and text.endswith("}")
+    ):
+        return None
+    digest = hashlib.sha256()
+    end = len(text) - 1
+    # text came from strict UTF-8, so re-encoding gives back the file's bytes
+    for start in range(_PAYLOAD_START, end, _HASH_PIECE):
+        digest.update(text[start : min(start + _HASH_PIECE, end)].encode())
+    return digest.hexdigest()
+
+
+def _verified_payload(path: Path) -> dict:
+    """The payload of the checkpoint at `path`, once its checksum holds.
+
+    A file in the writer's compact envelope is checked against its own
+    payload bytes, with no re-rendering; any other file, or one whose own
+    bytes do not match, against the canonical rendering of its payload.
+    """
+    with file_errors(path, "read checkpoint"):
+        text = Path(path).read_bytes().decode()
+    try:
+        envelope = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ChecksumMismatch(f"checkpoint {path} is not valid JSON: {e}") from e
+    envelope = envelope if isinstance(envelope, dict) else {}
+    payload, checksum = envelope.get("payload"), envelope.get("checksum")
+    if not isinstance(payload, dict) or not isinstance(checksum, str) or (
+        checksum != _own_payload_checksum(text, envelope)
+        and checksum != _payload_checksum(payload)
+    ):
+        raise ChecksumMismatch(f"checkpoint {path} failed its integrity check")
+    return payload
+
+
+def _weight_vector(path: Path, agent: int, part: str, values: list) -> np.ndarray:
+    """`values` as float64, if each is a finite real number."""
+    flat = None
+    if set(map(type, values)) <= {float, int}:
+        try:
+            flat = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond float64's range
+            pass
+    if flat is None or not np.isfinite(flat).all():
+        raise ChecksumMismatch(
+            f"checkpoint {path} agent {agent} {part} holds a weight that is not a finite real number"
+        )
+    return flat
 
 
 def load_checkpoint(
     path: Path, env_config: EnvConfig, hyper: Hyperparams, seed: int
 ) -> tuple[FleetNets, int]:
     """Restore nets from a checkpoint; returns (nets, next episode index)."""
-    with file_errors(path, "read checkpoint"):
-        text = Path(path).read_text()
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ChecksumMismatch(f"checkpoint {path} is not valid JSON: {e}") from e
-    payload = envelope.get("payload") if isinstance(envelope, dict) else None
-    if not isinstance(payload, dict) or envelope.get("checksum") != _payload_checksum(payload):
-        raise ChecksumMismatch(f"checkpoint {path} failed its integrity check")
+    payload = _verified_payload(path)
     missing = [key for key in ("version", "hyper", "agents", "episode") if key not in payload]
     if missing:
         raise ChecksumMismatch(f"checkpoint {path} lacks {', '.join(missing)}")
@@ -260,8 +381,9 @@ def load_checkpoint(
         )
     for i, blob in enumerate(agents):
         for part, net in (("actor", nets.actor), ("critic", nets.critic)):
+            flat = _weight_vector(path, i, part, blob[part])
             try:
-                load_flat_params(net.params(), i, np.asarray(blob[part], dtype=np.float64))
+                load_flat_params(net.params(), i, flat)
             except ValueError as e:
                 raise ChecksumMismatch(
                     f"checkpoint agent {i} {part} does not fit the configured nets: {e}"

@@ -2,10 +2,12 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 import yaml
 
+from gridtrade import reporting
 from gridtrade.cli import main
 from gridtrade.config import default_config_dict
 from gridtrade.env import EnvConfig
@@ -187,9 +189,17 @@ class TestTrain:
         ("episode", -1),
         ("actor", {"weights": [0.5]}),
         ("critic", {"weights": [0.5]}),
+        ("actor-weight", None),
+        ("actor-weight", float("nan")),
+        ("critic-weight", float("inf")),
+        ("actor-weight", True),
+        ("critic-weight", {}),
+        ("actor-weight", 10**400),
     ], ids=["hyper-list", "hyper-no-lstm-hidden", "hyper-no-actor-hidden",
             "hyper-no-critic-hidden", "episode-string", "episode-list", "episode-bool",
-            "episode-negative", "actor-mapping", "critic-mapping"])
+            "episode-negative", "actor-mapping", "critic-mapping", "actor-weight-null",
+            "actor-weight-nan", "critic-weight-infinity", "actor-weight-true",
+            "critic-weight-object", "actor-weight-huge-int"])
     def test_resume_from_a_payload_with_a_mistyped_field_exits_1(self, tmp_path, capsys,
                                                                field, value):
         out = tmp_path / "tr"
@@ -200,6 +210,8 @@ class TestTrain:
         payload = json.loads(ck.read_text())["payload"]
         if field in ("actor", "critic"):
             payload["agents"][1][field] = value
+        elif field.endswith("-weight"):
+            payload["agents"][1][field.split("-")[0]][3] = value
         else:
             payload[field] = value
         ck.write_text(json.dumps({"checksum": _payload_checksum(payload), "payload": payload}))
@@ -209,6 +221,8 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(ck) in err
+        if field.endswith("-weight"):
+            assert f"agent 1 {field.split('-')[0]}" in err
         with pytest.raises(ChecksumMismatch):
             load_checkpoint(ck, EnvConfig(), Hyperparams(**{
                 **FAST_LEARNER["learner"], "actor_hidden": (8, 8), "critic_hidden": (8, 8)
@@ -259,6 +273,81 @@ class TestTrain:
         np.testing.assert_array_equal(
             restored.actor.lstm.Wx.data[2], nets.actor.lstm.Wx.data[2]
         )
+
+    def test_save_holds_no_whole_payload_in_memory(self, tmp_path):
+        hyper = Hyperparams()
+        nets = build_nets(EnvConfig(), hyper, seed=0)
+        path = tmp_path / "ck.json"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, nets, hyper, "h", 0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+    def test_fresh_checkpoint_loads_without_re_rendering(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        cfg_env = EnvConfig()
+        hyper = Hyperparams(lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
+        nets = build_nets(cfg_env, hyper, seed=0)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, nets, hyper, "h", 0, 5)
+
+        def no_render(payload):
+            raise AssertionError("a canonical checkpoint was re-rendered")
+
+        monkeypatch.setattr(reporting, "_payload_checksum", no_render)
+        restored, episode = load_checkpoint(path, cfg_env, hyper, seed=1)
+        assert episode == 5
+        for p, q in zip(restored.critic.params(), nets.critic.params()):
+            np.testing.assert_array_equal(p.data, q.data)
+
+    def test_one_changed_digit_in_a_canonical_checkpoint_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        cfg = write_cfg(tmp_path, **FAST_LEARNER)
+        assert main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                     "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        text = ck.read_text()
+        at = text.index('"critic":[') + 20
+        while not text[at].isdigit():
+            at += 1
+        ck.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
+        json.loads(ck.read_text())  # still well-formed, only the checksum tells
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(ck)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integrity check" in err
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        hyper = Hyperparams(lstm_hidden=4, actor_hidden=(8, 8), critic_hidden=(8, 8))
+        nets = build_nets(EnvConfig(), hyper, seed=0)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, nets, hyper, "h", 0, 5)
+        before = path.read_bytes()
+        render = reporting._render
+
+        def render_then_fail(value):
+            pieces = render(value)
+            yield next(pieces)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(reporting, "_render", render_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, nets, hyper, "h", 0, 9)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+    def test_train_leaves_no_temporary_file(self, tmp_path):
+        out = tmp_path / "tr"
+        assert main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                     "--episodes", "1", "--seed", "2", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.json", "manifest.json", "metrics.csv"]
 
     def test_spaced_envelope_format_still_loads(self, tmp_path):
         """Checkpoints written as json.dumps(envelope, sort_keys=True), with
