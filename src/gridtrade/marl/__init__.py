@@ -1,7 +1,7 @@
 """Desk-scale recurrent multi-agent PPO with centralized critics."""
 
 from .autodiff import Tensor
-from .nets import CriticNet, DiagGaussian, LSTMCell, Linear, PolicyNet
+from .nets import CriticNet, DiagGaussian, LSTMCell, Linear, ParamStore, PolicyNet
 from .ppo import (
     Adam,
     GradCheckReport,
@@ -11,7 +11,6 @@ from .ppo import (
     critic_loss,
     gradient_check,
     normalize_advantages,
-    sgd_update,
 )
 from .train import Hyperparams, TrainResult, train
 
@@ -23,6 +22,7 @@ __all__ = [
     "Hyperparams",
     "LSTMCell",
     "Linear",
+    "ParamStore",
     "PolicyNet",
     "Sgd",
     "Tensor",
@@ -32,6 +32,5 @@ __all__ = [
     "critic_loss",
     "gradient_check",
     "normalize_advantages",
-    "sgd_update",
     "train",
 ]

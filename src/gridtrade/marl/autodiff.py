@@ -2,12 +2,13 @@
 
 A Tensor wraps an ndarray and records the operation that produced it;
 backward() replays the tape in reverse topological order accumulating
-gradients into every reachable parameter. The op set is what the
-recurrent policy, the value network, and the PPO losses need; the
-recurrent layer is one fused op (`lstm_seq`) with a hand-written backward,
-whose forward loop steps the same numpy `lstm_cell` as the rollout; the
-elementwise `sigmoid`/`tanh`/`concat` ops compose the per-step reference it
-is tested against. Broadcasting follows numpy semantics, with gradients
+gradients into every reachable parameter, in place into a leaf's `.grad`
+array when it has one. The op set is what the recurrent policy, the value
+network, and the PPO losses need; the recurrent layer is one fused op
+(`lstm_seq`) with a hand-written backward, whose forward loop steps the
+same numpy `lstm_cell` as the rollout; the elementwise
+`sigmoid`/`tanh`/`concat` ops compose the per-step reference it is tested
+against. Broadcasting follows numpy semantics, with gradients
 summed back over broadcast axes.
 """
 
@@ -42,9 +43,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     # --- graph traversal ----------------------------------------------
 
     def backward(self):
@@ -70,7 +68,10 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
+                if node.grad is None:
+                    node.grad = g.copy()  # `g` may be another leaf's too
+                else:
+                    node.grad += g  # in place: it may be a store's view
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if not parent.requires_grad or pg is None:

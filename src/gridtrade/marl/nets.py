@@ -4,7 +4,10 @@ Each agent has its own actor and its own critic, but a network object
 holds them for the whole fleet: every weight is one array with a leading
 agent axis (n, ...), agent k's slice is agent k's layer, and each forward
 pass runs all n agents as one batched computation in which no agent's
-numbers touch another's. Biases and `log_std` are (n, 1, out).
+numbers touch another's. Biases and `log_std` are (n, 1, out). Every
+parameter is a view into its network's one `ParamStore`, so the layers
+read it, backward accumulates into it and an optimizer steps it as whole
+(n, P) arrays.
 
 The policy embeds the observation sequence with a single-layer LSTM, runs a
 two-layer ReLU trunk, and outputs a diagonal Gaussian squashed onto the
@@ -79,6 +82,34 @@ class DiagGaussian:
         return gaussian_logp(u, self.mean, self.log_std) - squash_correction(u)
 
 
+class ParamStore:
+    """One network's weights and gradients as two agent-major (n, P) arrays.
+
+    Row k of `data` is agent k's weights, each parameter's slice k raveled
+    in `params` order: the checkpoint's weight vector. Each parameter's own
+    array is copied in and dropped; its `.data` and `.grad` become reshaped
+    views of its column block of `data` and `grad`.
+    """
+
+    def __init__(self, params: list[Tensor]):
+        self.params = params
+        n = params[0].data.shape[0]
+        self.data = np.concatenate([p.data.reshape(n, -1) for p in params], axis=1)
+        self.grad = np.zeros_like(self.data)
+        cuts = np.cumsum([p.data[0].size for p in params])[:-1]
+        for p, block in zip(params, np.split(self.data, cuts, axis=1)):
+            p.data = block.reshape(p.data.shape)
+        self._grads = [block.reshape(p.data.shape)
+                       for p, block in zip(params, np.split(self.grad, cuts, axis=1))]
+        self.zero_grad()
+
+    def zero_grad(self):
+        """Zero `grad` and point every `.grad` back at its block of it."""
+        self.grad.fill(0.0)
+        for p, g in zip(self.params, self._grads):
+            p.grad = g
+
+
 class Linear:
     """Dense layers, one per agent: W (n, in, out), b (n, 1, out). The small
     positive bias keeps ReLU units (and their downstream pre-activations)
@@ -148,15 +179,16 @@ class PolicyNet:
             self.mean_head.b.data[...] = np.asarray(mean_bias_init, dtype=np.float64)
         self.log_std = Tensor(np.full((self.n_agents, 1, action_dim), log_std_init),
                               requires_grad=True)
-
-    def params(self):
-        return (
+        self.store = ParamStore(
             self.lstm.params()
             + self.fc1.params()
             + self.fc2.params()
             + self.mean_head.params()
             + [self.log_std]
         )
+
+    def params(self):
+        return self.store.params
 
     def initial_hidden(self) -> tuple[np.ndarray, np.ndarray]:
         shape = (self.n_agents, 1, self.lstm.hidden)
@@ -208,9 +240,10 @@ class CriticNet:
         self.fc1 = Linear(input_dim, hidden[0], rngs)
         self.fc2 = Linear(hidden[0], hidden[1], rngs)
         self.head = Linear(hidden[1], 1, rngs)
+        self.store = ParamStore(self.fc1.params() + self.fc2.params() + self.head.params())
 
     def params(self):
-        return self.fc1.params() + self.fc2.params() + self.head.params()
+        return self.store.params
 
     def forward(self, x: np.ndarray) -> Tensor:
         """Taped values (n, B, 1) of the (B, input_dim) inputs, every agent's
@@ -225,20 +258,3 @@ class CriticNet:
         z = np.maximum(self.fc2.fast(z), 0.0)
         return self.head.fast(z)[..., 0]
 
-
-def flatten_params(params: list[Tensor], agent: int) -> np.ndarray:
-    """Agent `agent`'s slice of every parameter, raveled and concatenated in
-    parameter order."""
-    return np.concatenate([p.data[agent].ravel() for p in params])
-
-
-def load_flat_params(params: list[Tensor], agent: int, flat: np.ndarray) -> None:
-    """Write a `flatten_params` vector back into agent `agent`'s slices."""
-    size = sum(p.data[agent].size for p in params)
-    if flat.size != size:
-        raise ValueError(f"flat parameter vector has {flat.size} values, the net has {size}")
-    offset = 0
-    for p in params:
-        k = p.data[agent].size
-        p.data[agent] = flat[offset : offset + k].reshape(p.data.shape[1:])
-        offset += k

@@ -3,7 +3,9 @@
 The actor loss is the clipped surrogate with an entropy bonus; the critic
 regresses onto GAE targets built from the values recorded at collection
 time. Both losses are autodiff Tensors so their gradients can be checked
-against central finite differences.
+against central finite differences. The optimizers step a network's
+`ParamStore` whole: the weights, the gradients and Adam's two moments are
+each one (n, P) array, and a step is a few elementwise passes over them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from .autodiff import Tensor, as_tensor, clip, exp, minimum
-from .nets import gaussian_logp, squash_correction
+from .nets import ParamStore, gaussian_logp, squash_correction
 
 
 def compute_gae(
@@ -104,33 +106,16 @@ def critic_loss(values: Tensor, targets: np.ndarray) -> Tensor:
     return (diff * diff).mean(axis=-1)
 
 
-def sgd_update(params: list[Tensor], grads: list[np.ndarray], lr: float) -> list[Tensor]:
-    """Plain gradient step: p <- p - lr * g. Mutates and returns params."""
-    if len(params) != len(grads):
-        raise ShapeMismatch(f"{len(params)} params vs {len(grads)} grads")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"param {p.data.shape} vs grad {g.shape}")
-        p.data = p.data - lr * g
-    return params
-
-
 class Adam:
-    """Adaptive-moment optimizer; the default because plain SGD is unstable
-    at desk scale. Deterministic given the update sequence."""
+    """Adaptive-moment optimizer over one `ParamStore`; the default because
+    plain SGD is unstable at desk scale. The moments and two scratch arrays
+    are shaped like the store, so a step allocates nothing."""
 
-    def __init__(self, params: list[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    def __init__(self, store: ParamStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.store = store
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        # two scratch buffers the size of the largest parameter, viewed in
-        # each parameter's shape, so a step allocates nothing
-        flat = np.empty((2, max((p.data.size for p in params), default=0)))
-        self._scratch = [tuple(b[: p.data.size].reshape(p.data.shape) for b in flat)
-                         for p in params]
+        self.m, self.v, self._update, self._denom = (np.zeros_like(store.data) for _ in range(4))
         self.t = 0
 
     def step(self):
@@ -140,50 +125,45 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v, (update, denom) in zip(self.params, self.m, self.v, self._scratch):
-            g = p.grad
-            if g is None:
-                continue
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=update)
-            g2 = np.multiply(1.0 - self.beta2, g, out=denom)
-            g2 *= g
-            v *= self.beta2
-            v += g2
-            np.divide(m, b1t, out=update)
-            update *= self.lr
-            np.sqrt(np.divide(v, b2t, out=denom), out=denom)
-            denom += self.eps
-            update /= denom
-            p.data -= update
+        g, m, v, update, denom = self.store.grad, self.m, self.v, self._update, self._denom
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=update)
+        g2 = np.multiply(1.0 - self.beta2, g, out=denom)
+        g2 *= g
+        v *= self.beta2
+        v += g2
+        np.divide(m, b1t, out=update)
+        update *= self.lr
+        np.sqrt(np.divide(v, b2t, out=denom), out=denom)
+        denom += self.eps
+        update /= denom
+        self.store.data -= update
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.store.zero_grad()
 
 
 class Sgd:
-    """Plain gradient-descent optimizer matching the update rule exactly."""
+    """Plain gradient descent over one `ParamStore`: p <- p - lr * g."""
 
-    def __init__(self, params: list[Tensor], lr: float):
-        self.params = params
+    def __init__(self, store: ParamStore, lr: float):
+        self.store = store
         self.lr = lr
 
     def step(self):
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        sgd_update(self.params, grads, self.lr)
+        self.store.data -= self.lr * self.store.grad
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.store.zero_grad()
 
 
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 
-def make_optimizer(kind: str, params: list[Tensor], lr: float):
-    """An optimizer by name; `Hyperparams` rejects names not in OPTIMIZERS."""
-    return OPTIMIZERS[kind](params, lr)
+def make_optimizer(kind: str, store: ParamStore, lr: float):
+    """An optimizer by name over `store`; `Hyperparams` rejects names not in
+    OPTIMIZERS."""
+    return OPTIMIZERS[kind](store, lr)
 
 
 @dataclass
@@ -224,8 +204,10 @@ def gradient_check(
     max_rel = 0.0
     worst = (0, 0)
     for pi, p in enumerate(params):
-        flat = p.data.ravel()
-        for j in range(flat.size):
+        # `.flat` writes through a strided view (a store's column block),
+        # where `ravel()` would perturb a copy
+        flat = p.data.flat
+        for j in range(p.data.size):
             orig = flat[j]
             flat[j] = orig + h
             up = float(loss_fn().data)

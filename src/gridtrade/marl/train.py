@@ -247,8 +247,8 @@ def train(
         nets = build_nets(env_config, hyper, seed)
     actor, critic = nets.actor, nets.critic
 
-    actor_opt = make_optimizer(hyper.optimizer, actor.params(), hyper.lr_actor)
-    critic_opt = make_optimizer(hyper.optimizer, critic.params(), hyper.lr_critic)
+    actor_opt = make_optimizer(hyper.optimizer, actor.store, hyper.lr_actor)
+    critic_opt = make_optimizer(hyper.optimizer, critic.store, hyper.lr_critic)
     sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 

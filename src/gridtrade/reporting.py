@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .env import METRIC_NAMES, EnvConfig, episode_metrics, metrics_columns
 from .errors import ChecksumMismatch, IoError, UnknownFormat, file_errors
-from .marl.nets import flatten_params, load_flat_params
 from .marl.train import FleetNets, Hyperparams, build_nets
 
 
@@ -229,12 +228,10 @@ def _payload_checksum(payload: dict) -> str:
     return digest.hexdigest()
 
 
-def _weight_pieces(params, agent: int) -> Iterator[np.ndarray]:
-    """Agent `agent`'s weights in `flatten_params` order, `_CHUNK` at a time;
-    flattened only when first drawn, so one agent's net is copied at a time."""
-    flat = flatten_params(params, agent)
-    for start in range(0, flat.size, _CHUNK):
-        yield flat[start : start + _CHUNK]
+def _weight_pieces(row: np.ndarray) -> Iterator[np.ndarray]:
+    """One agent's row of a parameter store, `_CHUNK` weights at a time."""
+    for start in range(0, row.size, _CHUNK):
+        yield row[start : start + _CHUNK]
 
 
 def save_checkpoint(
@@ -263,8 +260,8 @@ def save_checkpoint(
         },
         "agents": [
             {
-                "actor": _weight_pieces(nets.actor.params(), k),
-                "critic": _weight_pieces(nets.critic.params(), k),
+                "actor": _weight_pieces(nets.actor.store.data[k]),
+                "critic": _weight_pieces(nets.critic.store.data[k]),
             }
             for k in range(nets.actor.n_agents)
         ],
@@ -362,7 +359,7 @@ def load_checkpoint(
         raise ChecksumMismatch(f"checkpoint {path} episode is not a count: {episode!r}")
     if payload["version"] != CHECKPOINT_VERSION:
         raise ChecksumMismatch(
-            f"checkpoint version {payload['version']} not supported"
+            f"checkpoint {path} version {payload['version']} not supported"
         )
     stored = payload["hyper"]
     sizes = ("lstm_hidden", "actor_hidden", "critic_hidden")
@@ -372,22 +369,21 @@ def load_checkpoint(
         hyper.lstm_hidden, list(hyper.actor_hidden), list(hyper.critic_hidden)
     ]:
         raise ChecksumMismatch(
-            "checkpoint network sizes do not match the configured learner"
+            f"checkpoint {path} network sizes do not match the configured learner"
         )
     nets = build_nets(env_config, hyper, seed)
     if len(agents) != env_config.n_agents:
         raise ChecksumMismatch(
-            f"checkpoint has {len(agents)} agents, config has {env_config.n_agents}"
+            f"checkpoint {path} has {len(agents)} agents, config has {env_config.n_agents}"
         )
     for i, blob in enumerate(agents):
         for part, net in (("actor", nets.actor), ("critic", nets.critic)):
             flat = _weight_vector(path, i, part, blob[part])
-            try:
-                load_flat_params(net.params(), i, flat)
-            except ValueError as e:
-                raise ChecksumMismatch(
-                    f"checkpoint agent {i} {part} does not fit the configured nets: {e}"
-                ) from e
+            row = net.store.data[i]
+            if flat.size != row.size:
+                raise ChecksumMismatch(f"checkpoint {path} agent {i} {part} does not fit the "
+                                       f"configured nets: {flat.size} weights, not {row.size}")
+            row[:] = flat
     return nets, episode
 
 

@@ -71,6 +71,18 @@ class TestElementwise:
         np.testing.assert_array_equal(a.grad, [1.0, 0.0])
         np.testing.assert_array_equal(b.grad, [0.0, 1.0])
 
+    def test_leaf_used_twice_accumulates_into_its_own_array(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        (a + b).sum().backward()
+        own = a.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        (a + b).sum().backward()  # no zeroing in between
+        assert a.grad is own
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_minimum_tie_goes_to_first(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
         b = Tensor(np.array([2.0]), requires_grad=True)

@@ -142,8 +142,42 @@ class TestTrain:
                    "--out", str(out), "--resume", str(out / "checkpoint.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and str(out / "checkpoint.json") in err
         assert "agent 0" in err and "actor" in err
+
+    def test_resume_with_other_network_sizes_exits_1_naming_the_file(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        assert main(["train", "--config", write_cfg(tmp_path, **FAST_LEARNER),
+                     "--episodes", "1", "--seed", "2", "--out", str(out)]) == 0
+        cfg = write_cfg(tmp_path, learner={**FAST_LEARNER["learner"], "lstm_hidden": 5})
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(out / "checkpoint.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "checkpoint.json") in err
+        assert "network sizes do not match" in err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("version", 99, "version 99 not supported"),
+        ("agents", 3, "has 3 agents, config has 4"),
+    ])
+    def test_resume_from_a_foreign_payload_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                  field, value, message):
+        out = tmp_path / "tr"
+        cfg = write_cfg(tmp_path, **FAST_LEARNER)
+        assert main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                     "--out", str(out)]) == 0
+        ck = out / "checkpoint.json"
+        payload = json.loads(ck.read_text())["payload"]
+        payload[field] = payload["agents"][:value] if field == "agents" else value
+        ck.write_text(json.dumps({"checksum": _payload_checksum(payload), "payload": payload}))
+        capsys.readouterr()
+        rc = main(["train", "--config", cfg, "--episodes", "1", "--seed", "2",
+                   "--out", str(out), "--resume", str(ck)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ck) in err and message in err
 
     def test_resume_from_a_json_array_exits_1(self, tmp_path, capsys):
         ck = tmp_path / "ck.json"

@@ -2,6 +2,7 @@
 the fleet learner against its per-agent reference."""
 
 import importlib
+import json
 import math
 
 import numpy as np
@@ -33,12 +34,14 @@ from gridtrade.marl.nets import (
     LOG_STD_MIN,
     CriticNet,
     DiagGaussian,
+    ParamStore,
     PolicyNet,
     squash,
     squash_correction,
 )
 from gridtrade.marl.ppo import (
     Adam,
+    Sgd,
     actor_loss,
     compute_gae,
     critic_loss,
@@ -46,7 +49,6 @@ from gridtrade.marl.ppo import (
     make_optimizer,
     normalize_advantages,
     policy_logp_and_entropy,
-    sgd_update,
 )
 from gridtrade.marl.train import (
     TAG_INIT,
@@ -192,36 +194,31 @@ class TestCriticLoss:
             critic_loss(Tensor(np.zeros((3, 1))), np.zeros(2))
 
 
+def stepped(optimizer, data, grad, lr):
+    """The weights `data` after one `optimizer` step on gradient `grad`; the
+    (n,) weights make one parameter, so its store is (n, 1)."""
+    p = Tensor(np.array(data), requires_grad=True)
+    store = ParamStore([p])
+    store.grad[:, 0] = grad
+    optimizer(store, lr).step()
+    return p.data.copy()
+
+
 class TestSgdUpdate:
     def test_zero_lr_noop(self):
-        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        sgd_update([p], [np.array([5.0, 5.0])], 0.0)
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        np.testing.assert_array_equal(stepped(Sgd, [1.0, 2.0], [5.0, 5.0], 0.0), [1.0, 2.0])
 
     def test_plain_rule(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        sgd_update([p], [np.array([0.5])], 0.1)
-        assert p.data[0] == pytest.approx(0.95)
+        assert stepped(Sgd, [1.0], [0.5], 0.1)[0] == pytest.approx(0.95)
 
     def test_determinism(self):
         def run():
-            p = Tensor(np.array([1.0, -1.0]), requires_grad=True)
-            sgd_update([p], [np.array([0.3, 0.7])], 0.01)
-            return p.data.copy()
+            return stepped(Sgd, [1.0, -1.0], [0.3, 0.7], 0.01)
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_shape_mismatch(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(ShapeMismatch):
-            sgd_update([p], [np.zeros(2)], 0.1)
-
     def test_adam_step_descends(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0])
-        opt.step()
-        assert p.data[0] < 1.0
+        assert stepped(Adam, [1.0], [1.0], 0.1)[0] < 1.0
 
 
 class TestNormalizeAdvantages:
@@ -373,8 +370,8 @@ class TestPolicyNet:
             nets = build_nets(config, hyper, seed=0)
             train_mod._update_agents(
                 nets, episodes,
-                make_optimizer("adam", nets.actor.params(), hyper.lr_actor),
-                make_optimizer("adam", nets.critic.params(), hyper.lr_critic),
+                make_optimizer("adam", nets.actor.store, hyper.lr_actor),
+                make_optimizer("adam", nets.critic.store, hyper.lr_critic),
                 hyper, np.random.default_rng(0),
             )
             return nets
@@ -417,6 +414,37 @@ class TestGradientCheck:
         report = gradient_check(net.params(), loss_fn, tol=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
 
+    def test_two_agent_policy_and_critic(self):
+        # each parameter is a strided view into its store; the check must
+        # perturb the store, not a copy of the view
+        rng = np.random.default_rng(3)
+        net = PolicyNet(obs_dim=5, lstm_hidden=3, trunk_hidden=(4, 4),
+                        rngs=[np.random.default_rng(4), np.random.default_rng(5)])
+        obs = rng.normal(size=(2, 1, 4, 5))
+        presquash = rng.normal(size=(2, 1, 4, 3))
+        logp_old = rng.normal(size=(2, 4))
+        adv = rng.normal(size=(2, 4))
+
+        def actor_fn():
+            means, log_std = net.forward_seq(obs)
+            logp, entropy = policy_logp_and_entropy(means, log_std, presquash)
+            return actor_loss(logp.reshape(2, 4), logp_old, adv, entropy.reshape(2),
+                              0.2, 0.01).sum()
+
+        report = gradient_check(net.params(), actor_fn, tol=1e-4)
+        assert report.passed, f"actor: max rel error {report.max_rel_error}"
+
+        critic = CriticNet(input_dim=6, hidden=(5, 4),
+                           rngs=[np.random.default_rng(6), np.random.default_rng(7)])
+        x = rng.normal(size=(6, 6))
+        targets = rng.normal(size=(2, 6))
+
+        def critic_fn():
+            return critic_loss(critic.forward(x), targets).sum()
+
+        report = gradient_check(critic.params(), critic_fn, tol=1e-4)
+        assert report.passed, f"critic: max rel error {report.max_rel_error}"
+
     def test_corrupted_gradient_detected(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
@@ -429,6 +457,39 @@ class TestGradientCheck:
 
         report = gradient_check([w], loss_fn, tol=1e-4)
         assert not report.passed
+
+
+class TestParamStore:
+    HYPER = Hyperparams(episodes=1, epochs=1)  # desk-scale nets, one short round
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        return train(EnvConfig(), self.HYPER, seed=0).nets
+
+    def test_parameters_stay_views_of_their_store_through_training(self, nets):
+        for net, width in ((nets.actor, 16_326), (nets.critic, 30_977)):
+            assert net.store.data.shape == net.store.grad.shape == (4, width)
+            assert sum(p.data[0].size for p in net.params()) == width
+            for p in net.params():
+                assert np.shares_memory(p.data, net.store.data)
+                assert np.shares_memory(p.grad, net.store.grad)
+
+    def test_checkpoint_rows_are_the_store_rows(self, nets, tmp_path):
+        from gridtrade.reporting import save_checkpoint
+
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, nets, self.HYPER, "h", 0, 1)
+        agents = json.loads(path.read_text())["payload"]["agents"]
+        for k, blob in enumerate(agents):
+            assert blob["actor"] == nets.actor.store.data[k].tolist()
+            assert blob["critic"] == nets.critic.store.data[k].tolist()
+
+    def test_row_k_is_agent_k_in_parameter_order(self):
+        net = CriticNet(input_dim=3, hidden=(2, 2),
+                        rngs=[np.random.default_rng(1), np.random.default_rng(2)])
+        for k in range(2):
+            expected = np.concatenate([p.data[k].ravel() for p in net.params()])
+            assert net.store.data[k].tobytes() == expected.tobytes()
 
 
 def per_step_means(net, episodes):
@@ -540,12 +601,10 @@ class TestEntropyCoefficientDirection:
             logp, entropy = policy_logp_and_entropy(means, log_std, presquash[None, None])
             loss = actor_loss(logp.reshape(6), logp_old, normalize_advantages(adv),
                               entropy.reshape(()), 0.2, coef)
-            for p in net.params():
-                p.grad = None
+            opt = Sgd(net.store, 0.01)
+            opt.zero_grad()
             loss.backward()
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in net.params()]
-            sgd_update(net.params(), grads, 0.01)
+            opt.step()
             _, log_std_new = net.forward_seq(obs[None, None])
             return float(log_std_new.data.sum())
 
@@ -575,8 +634,8 @@ def reference_train(config, hyper, seed):
         CriticNet(obs_dim * n, hidden=hyper.critic_hidden, rngs=[rng_stream(seed, TAG_INIT, i, 1)])
         for i in range(n)
     ]
-    actor_opts = [make_optimizer(hyper.optimizer, a.params(), hyper.lr_actor) for a in actors]
-    critic_opts = [make_optimizer(hyper.optimizer, c.params(), hyper.lr_critic) for c in critics]
+    actor_opts = [make_optimizer(hyper.optimizer, a.store, hyper.lr_actor) for a in actors]
+    critic_opts = [make_optimizer(hyper.optimizer, c.store, hyper.lr_critic) for c in critics]
     sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 
