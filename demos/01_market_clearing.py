@@ -31,7 +31,7 @@ book = [
 
 print("order book:")
 for q in book:
-    role = "buy " if q.is_buyer else "sell"
+    role = "buy " if q.price >= 0 else "sell"
     print(f"  agent {q.agent_id}: {role} {q.quantity} kWh at |p|={q.ask:.2f}")
 
 print("\njoint price-quantity clearing under each market factor:")

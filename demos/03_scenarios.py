@@ -16,7 +16,6 @@ from gridtrade.scenario import (
     bundled_price_schedule,
     bundled_profile,
     draw_day,
-    hourly_shape,
     rng_stream,
     sample_realization,
 )
@@ -78,8 +77,3 @@ print(f"  failure hours 10-12        |{spark(failure, 10)}|")
 disrupted = apply_pv_disruption(flat, cfg, day(3).disruption)[0]
 print(f"  sampled composite          |{spark(disrupted, 10)}|")
 assert (disrupted <= flat).all()
-
-print("\ningesting raw annual data (hour-of-day mean, min-max scaled):")
-rng = np.random.default_rng(1)
-year = np.tile(bundled_profile(1).load, 365) * 3.0 + rng.normal(0, 0.2, 24 * 365)
-print(f"  recovered shape |{spark(hourly_shape(year), 1.0)}|")

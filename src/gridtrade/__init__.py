@@ -27,7 +27,7 @@ from .market import (
     clear_mrda,
     clear_vvda,
 )
-from .microgrid import DEFAULT_FLEET, EssState, MicrogridParams, SettlementRecord
+from .microgrid import DEFAULT_FLEET, MicrogridParams, SettlementRecord
 from .scenario import DailyProfile, DisruptionConfig, PriceSchedule
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "DailyProfile",
     "DisruptionConfig",
     "EnvConfig",
-    "EssState",
     "MarketFactor",
     "MicrogridParams",
     "Observation",

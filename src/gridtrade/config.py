@@ -216,6 +216,9 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
 
     try:
         dis = dict(merged["disruption"])
+        for name in ("ramp_hours", "failure_hours"):
+            if name in dis:
+                dis[name] = _setting(merged, "disruption", name, _whole)
         if _flag("disruption.use_reported", dis.pop("use_reported", False)):
             # reported rates win unless the user explicitly set a probability
             user_dis = raw.get("disruption") or {}

@@ -104,8 +104,8 @@ class EnvConfig:
         if not (0 <= self.delta_past < HOURS and 0 <= self.delta_future < HOURS):
             raise ConfigInvalid(f"window: past and future must be whole hours in [0, {HOURS - 1}], "
                                 f"got {self.delta_past!r} and {self.delta_future!r}")
-        if self.process_sigma < 0 or self.obs_sigma < 0:
-            raise ConfigInvalid("noise sigmas must be non-negative")
+        if not all(math.isfinite(s) and s >= 0 for s in (self.process_sigma, self.obs_sigma)):
+            raise ConfigInvalid("noise sigmas must be finite and non-negative")
         if not (self.m_lower <= self.m_upper):
             raise ConfigInvalid("market-factor thresholds must satisfy lower <= upper")
         if self.mrda_rounds < 1 or not (0 <= self.mrda_concession < 1):

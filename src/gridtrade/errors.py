@@ -21,20 +21,6 @@ class CrossViolation(GridTradeError):
     """Mid-point price requested for a non-crossing bid/ask pair."""
 
 
-# --- scenario -------------------------------------------------------------
-
-class EmptySeries(GridTradeError):
-    """An input series contains no samples."""
-
-
-class NonHourlyData(GridTradeError):
-    """An input series is malformed: too short, non-finite, or not hourly."""
-
-
-class IndexOutOfRange(GridTradeError):
-    """Hour index outside the 24-hour schedule."""
-
-
 # --- env / config ---------------------------------------------------------
 
 class ConfigInvalid(GridTradeError):

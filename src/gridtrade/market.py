@@ -59,10 +59,6 @@ class Quotation(NamedTuple):
     quantity: float
 
     @property
-    def is_buyer(self) -> bool:
-        return self.price >= 0
-
-    @property
     def ask(self) -> float:
         """Unsigned price magnitude."""
         return abs(self.price)
@@ -193,8 +189,8 @@ def require_valid(q: Quotation, env: PriceEnvelope) -> None:
 def partition(quotes: list[Quotation]) -> tuple[list[Quotation], list[Quotation]]:
     """Split quotations into buy and sell sides, dropping null quotes.
 
-    The side is `Quotation.is_buyer` (price >= 0 buys). Submission order is
-    preserved within each side.
+    A non-negative price buys. Submission order is preserved within each
+    side.
     """
     buyers: list[Quotation] = []
     sellers: list[Quotation] = []

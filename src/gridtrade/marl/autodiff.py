@@ -3,13 +3,13 @@
 A Tensor wraps an ndarray and records the operation that produced it;
 backward() replays the tape in reverse topological order accumulating
 gradients into every reachable parameter, in place into a leaf's `.grad`
-array when it has one. The op set is what the recurrent policy, the value
-network, and the PPO losses need; the recurrent layer is one fused op
-(`lstm_seq`) with a hand-written backward, whose forward loop steps the
-same numpy `lstm_cell` as the rollout; the elementwise
-`sigmoid`/`tanh`/`concat` ops compose the per-step reference it is tested
-against. Broadcasting follows numpy semantics, with gradients
-summed back over broadcast axes.
+array when it has one. The op set is exactly what the recurrent policy,
+the value network and the PPO losses need: `+`, `-` (binary and unary),
+`*`, `@`, indexing, `reshape`, `sum`, `mean`, `relu`, `exp`, `clip`,
+`minimum`, and the recurrent layer as one fused op (`lstm_seq`) with a
+hand-written backward, whose forward loop steps the same numpy
+`lstm_cell` as the rollout. Broadcasting follows numpy semantics, with
+gradients summed back over broadcast axes.
 """
 
 from __future__ import annotations
@@ -92,16 +92,11 @@ class Tensor:
             _backward=lambda g: (g, g),
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Tensor(-self.data, _parents=(self,), _backward=lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -112,24 +107,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        return Tensor(
-            self.data / other.data,
-            _parents=(self, other),
-            _backward=lambda g: (
-                g / other.data,
-                -g * self.data / (other.data * other.data),
-            ),
-        )
-
-    def __pow__(self, exponent: float):
-        return Tensor(
-            self.data ** exponent,
-            _parents=(self,),
-            _backward=lambda g: (g * exponent * self.data ** (exponent - 1),),
-        )
 
     def __matmul__(self, other):
         """Matrix product over the last two axes, batched over any leading
@@ -180,20 +157,6 @@ def as_tensor(value) -> Tensor:
 
 # --- elementwise nonlinearities ---------------------------------------------
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return Tensor(out, _parents=(x,), _backward=lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid(x.data)
-    return Tensor(out, _parents=(x,), _backward=lambda g: (g * out * (1.0 - out),))
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return Tensor(
@@ -204,12 +167,6 @@ def relu(x: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
     return Tensor(out, _parents=(x,), _backward=lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    return Tensor(
-        np.log(x.data), _parents=(x,), _backward=lambda g: (g / x.data,)
-    )
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -230,21 +187,6 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        _parents=tuple(tensors),
-        _backward=back,
-    )
-
-
 # --- fused recurrent layer --------------------------------------------------
 
 def lstm_cell(z: np.ndarray, c: np.ndarray):
@@ -257,7 +199,7 @@ def lstm_cell(z: np.ndarray, c: np.ndarray):
     H = c.shape[-1]
     # one sigmoid over all 4H gates costs less than one per gate slice; the
     # g slice is then overwritten with its tanh
-    act = _sigmoid(z)
+    act = 1.0 / (1.0 + np.exp(-z))
     act[..., 2 * H : 3 * H] = np.tanh(z[..., 2 * H : 3 * H])
     i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
     c = f * c + i * g

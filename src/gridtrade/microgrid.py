@@ -13,6 +13,7 @@ keeping the hourly power balance exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,6 +38,10 @@ class MicrogridParams:
     eta_dis: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (0.0 <= self.e_min <= self.e0 <= self.e_max):
             raise ValueError(
                 f"need 0 <= e_min <= e0 <= e_max, got ({self.e_min}, {self.e0}, {self.e_max})"
@@ -83,18 +88,6 @@ class FleetParams:
         ))
 
 
-@dataclass(frozen=True)
-class EssState:
-    """Stored energy plus the agent-chosen reservation fraction."""
-
-    energy: float
-    reservation: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.reservation <= 1.0):
-            raise ValueError(f"reservation must be in [0, 1], got {self.reservation}")
-
-
 @dataclass
 class SettlementRecord:
     """Realized hourly position after clearing and recourse."""
@@ -107,11 +100,6 @@ class SettlementRecord:
     t_ess: float
     profit_grid: float
     profit_p2p: float = 0.0
-
-    @property
-    def reward(self) -> float:
-        """Hourly operational benefit: grid profit plus P2P profit."""
-        return self.profit_grid + self.profit_p2p
 
 
 def day_ahead_quantity(load_forecast, gen_forecast, beta):

@@ -8,7 +8,6 @@ can be asserted with `==` instead of a tolerance.
 
 import numpy as np
 
-MONEY_QUANTUM = 1e-6
 _SCALE = 1_000_000
 
 

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptySeries, NonHourlyData
 from .microgrid import FleetParams
 
 HOURS = 24
@@ -103,6 +102,8 @@ class DisruptionConfig:
                 raise ValueError(f"{name} must be a probability, got {p}")
         if not (0.0 <= self.drop_lo <= self.drop_hi <= 1.0):
             raise ValueError("drop factor range must satisfy 0 <= lo <= hi <= 1")
+        if not (0.0 <= self.ramp_floor <= 1.0):
+            raise ValueError(f"ramp_floor must lie in [0, 1], got {self.ramp_floor}")
         if self.ramp_hours < 1 or self.failure_hours < 1:
             raise ValueError("effect durations must be at least one hour")
 
@@ -111,36 +112,6 @@ class DisruptionConfig:
         """The disruption rates exactly as reported (sudden drops 85%/h)."""
         s, g, f = REPORTED_DISRUPTION_PROBS
         return cls(p_sudden=s, p_gradual=g, p_failure=f)
-
-    @classmethod
-    def disabled(cls) -> "DisruptionConfig":
-        return cls(p_sudden=0.0, p_gradual=0.0, p_failure=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Ingestion
-# ---------------------------------------------------------------------------
-
-def hourly_shape(series) -> np.ndarray:
-    """Collapse an hourly series to a min-max scaled 24-hour mean shape.
-
-    Hour-of-day means are taken over however many days the series covers,
-    then affinely rescaled to [0, 1]; a constant series maps to all zeros
-    (zero-range convention).
-    """
-    arr = np.asarray(series, dtype=float).ravel()
-    if arr.size == 0:
-        raise EmptySeries("input series is empty")
-    if arr.size < HOURS:
-        raise NonHourlyData(f"need at least {HOURS} hourly samples, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise NonHourlyData("series contains NaN or infinite samples")
-    hours = np.arange(arr.size) % HOURS
-    means = np.array([arr[hours == h].mean() for h in range(HOURS)])
-    span = means.max() - means.min()
-    if span == 0:
-        return np.zeros(HOURS)
-    return (means - means.min()) / span
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from gridtrade.marl.autodiff import (
-    Tensor,
-    clip,
-    concat,
-    exp,
-    log,
-    minimum,
-    relu,
-    sigmoid,
-    tanh,
-)
+from gridtrade.marl.autodiff import Tensor, clip, exp, minimum, relu
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -47,18 +37,17 @@ class TestElementwise:
     def test_add_mul(self):
         check_op(lambda x: ((x * 3.0 + 1.0) * x).sum(), np.array([1.0, -2.0, 0.5]))
 
-    def test_sub_div_pow(self):
+    def test_scalar_times_tensor(self):
+        check_op(lambda x: (2.5 * x * x).sum(), np.array([1.0, -2.0, 0.5]))
+
+    def test_sub_neg(self):
         check_op(
-            lambda x: ((x - 0.5) / (x * x + 2.0) + x ** 3).sum(),
+            lambda x: ((x - 0.5) * (x - 2.0) + -x * x).sum(),
             np.array([0.3, -1.2, 2.0]),
         )
 
-    def test_tanh_sigmoid_exp_log(self):
-        check_op(
-            lambda x: (tanh(x) + sigmoid(x) * exp(x * 0.1)).sum(),
-            np.array([0.2, -0.7, 1.5]),
-        )
-        check_op(lambda x: log(x).sum(), np.array([0.5, 1.0, 3.0]))
+    def test_exp(self):
+        check_op(lambda x: (exp(x * 0.1) * exp(-x)).sum(), np.array([0.2, -0.7, 1.5]))
 
     def test_relu_and_clip(self):
         check_op(lambda x: relu(x).sum(), np.array([0.5, -0.5, 2.0]))
@@ -95,10 +84,12 @@ class TestMatmulAndShapes:
         rng = np.random.default_rng(0)
         A = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         B = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        ((A @ B) ** 2).sum().backward()
+        y = A @ B
+        (y * y).sum().backward()
 
         def fa():
-            return float(((Tensor(A.data) @ Tensor(B.data)) ** 2).sum().data)
+            y = Tensor(A.data) @ Tensor(B.data)
+            return float((y * y).sum().data)
 
         np.testing.assert_allclose(A.grad, numeric_grad(fa, A.data), atol=1e-5)
         np.testing.assert_allclose(B.grad, numeric_grad(fa, B.data), atol=1e-5)
@@ -121,13 +112,10 @@ class TestMatmulAndShapes:
         x[np.array([1, 1])].sum().backward()
         np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [0, 0]])
 
-    def test_concat(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        b = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = concat([a, b], axis=0)
-        (out * np.arange(10.0).reshape(5, 2)).sum().backward()
-        np.testing.assert_array_equal(a.grad, [[0, 1], [2, 3]])
-        np.testing.assert_array_equal(b.grad, [[4, 5], [6, 7], [8, 9]])
+    def test_reshape(self):
+        x = Tensor(np.ones(6), requires_grad=True)
+        (x.reshape(2, 3) * np.arange(6.0).reshape(2, 3)).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.arange(6.0))
 
     def test_sum_axis(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -161,6 +149,6 @@ class TestGraph:
         x = Tensor(np.array([0.5]), requires_grad=True)
         y = x
         for _ in range(200):
-            y = tanh(y * 1.01)
+            y = relu(y * 1.01)
         y.sum().backward()
-        assert np.isfinite(x.grad).all()
+        assert x.grad[0] == pytest.approx(1.01 ** 200)

@@ -616,6 +616,13 @@ class TestUnwritableOut:
         assert self.rc_and_err(argv, path, capsys) == 1
 
 
+def fleet_with(agent, **entry):
+    """The reference fleet config with `entry` overriding one microgrid's values."""
+    fleet = default_config_dict()["fleet"]
+    fleet[agent] = {**fleet[agent], **entry}
+    return fleet
+
+
 class TestMalformedConfigValues:
     """A config value of the wrong type or range exits 2 with `config error:`."""
 
@@ -640,11 +647,23 @@ class TestMalformedConfigValues:
         ("simulate", {"window": {"past": 10**30}, "episodes": 1}),
         ("simulate", {"window": {"future": 10**30}, "episodes": 1}),
         ("simulate", {"window": {"future": 24}, "episodes": 1}),
+        ("simulate", {"fleet": fleet_with(1, beta=float("inf")), "episodes": 1}),
+        ("simulate", {"fleet": fleet_with(0, l_max=float("nan")), "episodes": 1}),
+        ("simulate", {"fleet": fleet_with(2, t_charge_max=float("inf")), "episodes": 1}),
+        ("simulate", {"fleet": fleet_with(3, g_max=float("inf")), "episodes": 1}),
+        ("simulate", {"noise": {"process_sigma": float("nan")}, "episodes": 1}),
+        ("simulate", {"noise": {"obs_sigma": float("inf")}, "episodes": 1}),
+        ("simulate", {"disruption": {"ramp_floor": 3.0, "p_gradual": 0.5}, "episodes": 1}),
+        ("simulate", {"disruption": {"ramp_floor": -1.0, "p_gradual": 0.5}, "episodes": 1}),
+        ("simulate", {"disruption": {"ramp_hours": 2.5}, "episodes": 1}),
+        ("simulate", {"disruption": {"failure_hours": 2.5}, "episodes": 1}),
     ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
             "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop",
             "profiles-5", "prices-5", "window-past-1.5", "mrda-rounds-2.7", "carry-over-soc-no",
             "use-reported-no", "minibatch-size-1", "window-past-1e30", "window-future-1e30",
-            "window-future-24"])
+            "window-future-24", "beta-inf", "l-max-nan", "t-charge-max-inf", "g-max-inf",
+            "process-sigma-nan", "obs-sigma-inf", "ramp-floor-3", "ramp-floor-negative",
+            "ramp-hours-2.5", "failure-hours-2.5"])
     def test_exit_code_2(self, command, raw, tmp_path, capsys):
         argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
         if "episodes" not in raw:

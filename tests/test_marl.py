@@ -19,16 +19,7 @@ from gridtrade.env import (
     rollout_day,
 )
 from gridtrade.errors import ShapeMismatch
-from gridtrade.marl.autodiff import (
-    Tensor,
-    clip,
-    concat,
-    lstm_cell,
-    lstm_seq,
-    relu,
-    sigmoid,
-    tanh,
-)
+from gridtrade.marl.autodiff import Tensor, as_tensor, clip, lstm_cell, lstm_seq, relu
 from gridtrade.marl.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -391,7 +382,8 @@ class TestGradientCheck:
         x = rng.normal(size=(5, 4))
 
         def loss_fn():
-            return ((Tensor(x) @ W) ** 2).sum()
+            y = Tensor(x) @ W
+            return (y * y).sum()
 
         report = gradient_check([W], loss_fn, tol=1e-6)
         assert report.passed
@@ -490,6 +482,29 @@ class TestParamStore:
         for k in range(2):
             expected = np.concatenate([p.data[k].ravel() for p in net.params()])
             assert net.store.data[k].tobytes() == expected.tobytes()
+
+
+# Elementwise taped ops for the per-step LSTM reference below; the package
+# runs its recurrent layer as the one fused `lstm_seq` op and needs none of them.
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return Tensor(out, _parents=(x,), _backward=lambda g: (g * out * (1.0 - out),))
+
+
+def tanh(x: Tensor) -> Tensor:
+    out = np.tanh(x.data)
+    return Tensor(out, _parents=(x,), _backward=lambda g: (g * (1.0 - out * out),))
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    tensors = [as_tensor(t) for t in tensors]
+    bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return Tensor(
+        np.concatenate([t.data for t in tensors], axis=axis),
+        _parents=tuple(tensors),
+        _backward=lambda g: tuple(np.split(g, bounds, axis=axis)),
+    )
 
 
 def per_step_means(net, episodes):

@@ -1,6 +1,7 @@
 """Microgrid physics and settlement tests."""
 
-from dataclasses import fields, replace
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gridtrade.market import BALANCED, PriceEnvelope, Quotation, clear_jpq
 from gridtrade.microgrid import (
     DEFAULT_FLEET,
     RECORD_FIELDS,
-    EssState,
     FleetParams,
     FleetSettlement,
     MicrogridParams,
@@ -27,6 +27,13 @@ from gridtrade.microgrid import (
 )
 
 PRICES = PriceEnvelope(feed_in=0.2, day_ahead=0.5, emergency=2.0)
+
+
+class EssState(NamedTuple):
+    """One microgrid's storage: stored kWh and the reserved fraction."""
+
+    energy: float
+    reservation: float
 
 
 def make_params(**kw):
@@ -71,7 +78,7 @@ def reference_settle(load, gen, q_da, q_b, q_s, state, prices, dt, params):
         t_ess=(bus_charge - bus_shed - bus_cover) / dt,
         profit_grid=grid_profit(q_fit, q_e, prices),
     )
-    return record, replace(state, energy=energy)
+    return record, state._replace(energy=energy)
 
 
 def settle_one(load, gen, q_da, q_b, q_s, state, prices, dt, params):
@@ -83,7 +90,7 @@ def settle_one(load, gen, q_da, q_b, q_s, state, prices, dt, params):
         prices=prices, dt=dt, plant=FleetParams.of([params]),
     )
     record = fleet[0]
-    return record, replace(state, energy=fleet.energy[0].item())
+    return record, state._replace(energy=fleet.energy[0].item())
 
 
 class TestParams:
@@ -106,6 +113,12 @@ class TestParams:
             make_params(eta_ch=1.5)
         with pytest.raises(ValueError):
             make_params(beta=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(MicrogridParams)])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_params(**{name: value})
 
 
 class TestDayAhead:
@@ -440,13 +453,13 @@ class TestProfits:
                 assert sum(totals.received_micro) - sum(totals.paid_micro) == 0
 
     def test_reward_is_sum_of_profits(self):
-        from gridtrade.microgrid import SettlementRecord
-
-        rec = SettlementRecord(
-            q_da=0, q_b=0, q_s=0, q_e=0, q_fit=0,
-            t_ess=0, profit_grid=-1.6, profit_p2p=3.0,
+        zero = np.zeros(2)
+        fleet = FleetSettlement(
+            q_da=zero, q_b=zero, q_s=zero, q_e=zero, q_fit=zero, t_ess=zero,
+            profit_grid=np.array([-1.6, 0.5]), profit_p2p=np.array([3.0, -0.5]),
+            energy=zero,
         )
-        assert rec.reward == pytest.approx(1.4)
+        np.testing.assert_allclose(fleet.reward, [1.4, 0.0])
 
     def test_grid_profit_monotonicity(self):
         base = grid_profit(3, 2, PRICES)

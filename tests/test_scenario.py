@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from gridtrade.errors import EmptySeries, IndexOutOfRange, NonHourlyData
 from gridtrade.microgrid import DEFAULT_FLEET, FleetParams
 from gridtrade.scenario import (
     HOURS,
@@ -15,24 +14,11 @@ from gridtrade.scenario import (
     bundled_price_schedule,
     bundled_profile,
     draw_day,
-    hourly_shape,
     rng_stream,
     sample_realization,
 )
 
 W = 8  # the default observation window
-
-
-def normalize_annual(load_series, pv_series) -> DailyProfile:
-    """A representative daily profile from raw hourly load and PV data."""
-    return DailyProfile(load=hourly_shape(load_series), pv=hourly_shape(pv_series))
-
-
-def emergency_price(t: int, schedule: PriceSchedule) -> float:
-    """The emergency price for hour t (0..23)."""
-    if not (0 <= t < HOURS):
-        raise IndexOutOfRange(f"hour {t} outside [0, {HOURS})")
-    return float(schedule.emergency[t])
 
 
 def day_draws(seed, agents, window_len=W):
@@ -91,43 +77,6 @@ def forced(event, hour, drop=0.0):
     return uniforms
 
 
-class TestHourlyShape:
-    def test_constant_series_maps_to_zero(self):
-        assert (hourly_shape(np.full(48, 3.7)) == 0).all()
-
-    def test_two_identical_days_scale_to_unit_ramp(self):
-        day = np.arange(24, dtype=float)
-        profile = hourly_shape(np.concatenate([day, day]))
-        np.testing.assert_allclose(profile, day / 23)
-
-    def test_nan_rejected(self):
-        bad = np.arange(48, dtype=float)
-        bad[10] = np.nan
-        with pytest.raises(NonHourlyData):
-            hourly_shape(bad)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySeries):
-            hourly_shape([])
-
-    def test_too_short_rejected(self):
-        with pytest.raises(NonHourlyData):
-            hourly_shape(np.arange(10))
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(0)
-        raw = rng.uniform(0, 5, 24 * 30)
-        a = hourly_shape(raw)
-        b = hourly_shape(3.0 * raw + 11.0)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_normalize_annual_builds_profile(self):
-        rng = np.random.default_rng(1)
-        prof = normalize_annual(rng.uniform(0, 2, 24 * 365), rng.uniform(0, 1, 24 * 365))
-        assert isinstance(prof, DailyProfile)
-        assert prof.load.min() >= 0 and prof.load.max() <= 1
-
-
 class TestBundledDefaults:
     def test_profiles_valid_and_distinct(self):
         profiles = [bundled_profile(i) for i in range(4)]
@@ -155,8 +104,7 @@ class TestBundledDefaults:
 
     def test_price_hierarchy_holds_at_every_hour(self):
         sched = bundled_price_schedule()
-        for t in range(24):
-            assert sched.feed_in <= sched.day_ahead <= emergency_price(t, sched)
+        assert sched.feed_in <= sched.day_ahead <= sched.emergency.min()
 
     def test_price_schedule_validation(self):
         with pytest.raises(ValueError):
@@ -167,20 +115,13 @@ class TestBundledDefaults:
 
 class TestEmergencyPrice:
     def test_in_range_default(self):
-        sched = bundled_price_schedule()
-        for t in range(24):
-            assert 1.5 <= emergency_price(t, sched) <= 3.5
+        emergency = bundled_price_schedule().emergency
+        assert ((1.5 <= emergency) & (emergency <= 3.5)).all()
 
     def test_custom_flat_schedule(self):
         sched = PriceSchedule(feed_in=0.2, emergency=np.full(24, 2.0))
-        assert all(emergency_price(t, sched) == 2.0 for t in range(24))
-
-    def test_out_of_range_hour(self):
-        sched = bundled_price_schedule()
-        with pytest.raises(IndexOutOfRange):
-            emergency_price(24, sched)
-        with pytest.raises(IndexOutOfRange):
-            emergency_price(-1, sched)
+        assert sched.emergency.shape == (HOURS,)
+        assert (sched.emergency == 2.0).all()
 
 
 class TestDrawDay:
@@ -242,7 +183,7 @@ class TestDisruptions:
         gen = np.random.default_rng(0).uniform(0, 10, (4, HOURS))
         uniforms = day_draws(0, range(4)).disruption
         uniforms[:, ::5, :3] = 0.0  # the smallest uniform still starts nothing
-        out = apply_pv_disruption(gen, DisruptionConfig.disabled(), uniforms)
+        out = apply_pv_disruption(gen, DisruptionConfig(p_sudden=0.0, p_gradual=0.0, p_failure=0.0), uniforms)
         np.testing.assert_array_equal(out, gen)
 
     def test_forced_failure_window(self):
@@ -307,6 +248,11 @@ class TestDisruptions:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             DisruptionConfig(p_sudden=1.5)
+
+    @pytest.mark.parametrize("floor", [-1.0, 1.5, float("nan")])
+    def test_ramp_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ValueError, match="ramp_floor"):
+            DisruptionConfig(ramp_floor=floor)
 
 
 class TestDailyProfileValidation:
