@@ -11,7 +11,6 @@ run manifests can pin the exact configuration.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -21,10 +20,10 @@ import numpy as np
 import yaml
 
 from .env import EnvConfig
-from .errors import ConfigInvalid, file_errors
+from .errors import ConfigInvalid, file_errors, flag, real, whole
 from .marl.train import Hyperparams
 from .microgrid import DEFAULT_FLEET, MicrogridParams
-from .policies import POLICY_RULES, ScriptedPolicy
+from .policies import ScriptedPolicy
 from .scenario import (
     HOURS,
     DailyProfile,
@@ -47,9 +46,13 @@ class RunConfig:
     learner: Hyperparams
     policy: str
     margin: float
-    seed: int
-    episodes: int
     raw: dict
+    seed: int = 1
+    episodes: int = 10
+
+    def __post_init__(self):
+        whole("seed", self.seed, 0)
+        whole("episodes", self.episodes, 0)
 
     def hash(self) -> str:
         return config_hash(self.raw)
@@ -61,39 +64,33 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+#: the plant parameters a config file states for each microgrid
+_PLANT_KEYS = ("l_max", "g_max", "e_max", "t_charge_max", "t_discharge_max", "e0", "beta")
+
+
 def default_config_dict() -> dict:
-    """The reference four-microgrid setup as a plain dictionary."""
+    """The reference four-microgrid setup as a plain dictionary; each default
+    is read from the type that owns it."""
     return {
-        "seed": 1,
-        "episodes": 10,
-        "mechanism": "jpq",
-        "policy": "net-position",
-        "margin": 0.1,
-        "fleet": [
-            {
-                "l_max": p.l_max,
-                "g_max": p.g_max,
-                "e_max": p.e_max,
-                "t_charge_max": p.t_charge_max,
-                "t_discharge_max": p.t_discharge_max,
-                "e0": p.e0,
-                "beta": p.beta,
-            }
-            for p in DEFAULT_FLEET
-        ],
+        "seed": RunConfig.seed,
+        "episodes": RunConfig.episodes,
+        "mechanism": EnvConfig.mechanism,
+        "policy": ScriptedPolicy.rule,
+        "margin": ScriptedPolicy.margin,
+        "fleet": [{key: getattr(p, key) for key in _PLANT_KEYS} for p in DEFAULT_FLEET],
         "profiles": "bundled",
         "prices": "bundled",
-        "market_factor": {"lower": -30.0, "upper": -20.0},
-        "noise": {"process_sigma": 0.10, "obs_sigma": 0.05},
+        "market_factor": {"lower": EnvConfig.m_lower, "upper": EnvConfig.m_upper},
+        "noise": {"process_sigma": EnvConfig.process_sigma, "obs_sigma": EnvConfig.obs_sigma},
         "disruption": {
-            "p_sudden": 0.15,
-            "p_gradual": 0.10,
-            "p_failure": 0.01,
+            "p_sudden": DisruptionConfig.p_sudden,
+            "p_gradual": DisruptionConfig.p_gradual,
+            "p_failure": DisruptionConfig.p_failure,
             "use_reported": False,
         },
-        "mrda": {"rounds": 3, "concession": 0.5},
-        "window": {"past": 1, "future": 6},
-        "carry_over_soc": False,
+        "mrda": {"rounds": EnvConfig.mrda_rounds, "concession": EnvConfig.mrda_concession},
+        "window": {"past": EnvConfig.delta_past, "future": EnvConfig.delta_future},
+        "carry_over_soc": EnvConfig.carry_over_soc,
         "learner": {},
     }
 
@@ -112,9 +109,28 @@ def apply_env_overrides(raw: dict, environ: dict) -> dict:
             node = node[part]
         try:
             node[path[-1]] = yaml.safe_load(value)
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, ValueError) as e:
             raise ConfigInvalid(f"{key} is not valid YAML: {e}") from e
     return out
+
+
+def _keyed(where: str, mapping, known) -> dict:
+    """`mapping`, once it is a mapping that holds only `known` keys (a
+    dataclass's `__dataclass_fields__` names the keys its constructor takes)."""
+    if not isinstance(mapping, dict):
+        raise ConfigInvalid(f"{where}: expected a mapping, got {mapping!r}")
+    unknown = mapping.keys() - set(known)
+    if unknown:
+        raise ConfigInvalid(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    return mapping
+
+
+def _built(where: str, make, **kw):
+    """`make(**kw)`, with a rejected value reported as a ConfigInvalid naming `where`."""
+    try:
+        return make(**kw)
+    except (TypeError, ValueError) as e:
+        raise ConfigInvalid(f"{where}: {e}") from e
 
 
 def _hourly_csv(path: Path, section: str, columns: tuple[str, ...], make):
@@ -129,54 +145,33 @@ def _hourly_csv(path: Path, section: str, columns: tuple[str, ...], make):
         raise ConfigInvalid(
             f"{section}: {path} needs numeric hour,{','.join(columns)} columns"
         ) from e
-    try:
-        return make(**series)
-    except ValueError as e:
-        raise ConfigInvalid(f"{section}: {path}: {e}") from e
-
-
-def _whole(value) -> int:
-    """`value` as an int; a bool or a fractional float is an error, not truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
-
-
-def _setting(merged: dict, section: str, key: str, kind):
-    """One numeric setting of a config section, converted by `kind`."""
-    value = merged[section][key]
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"{section}.{key}: {e}") from e
-
-
-def _flag(name: str, value) -> bool:
-    """A yes/no setting; only a YAML boolean counts, so the string 'no' is an error."""
-    if not isinstance(value, bool):
-        raise ConfigInvalid(f"{name}: must be true or false, got {value!r}")
-    return value
+    return _built(f"{section}: {path}", make, **series)
 
 
 def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
-    """Validate a parsed config dictionary into typed objects."""
+    """Map a parsed config dictionary's sections onto the typed objects,
+    whose constructors check every value."""
     base_dir = Path(base_dir)
+    defaults = default_config_dict()
     merged = default_config_dict()
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key].update(value)
         else:
             merged[key] = value
+    _keyed("config", merged, defaults)
+    mf, noise, mrda, window = (
+        _keyed(name, merged[name], defaults[name])
+        for name in ("market_factor", "noise", "mrda", "window")
+    )
 
-    known = set(default_config_dict().keys())
-    unknown = set(merged.keys()) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-
-    try:
-        fleet = tuple(MicrogridParams(**entry) for entry in merged["fleet"])
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"fleet: {e}") from e
+    if not isinstance(merged["fleet"], list):
+        raise ConfigInvalid(f"fleet: expected a list of microgrids, got {merged['fleet']!r}")
+    fleet = tuple(
+        _built(f"fleet[{i}]", MicrogridParams,
+               **_keyed(f"fleet[{i}]", entry, MicrogridParams.__dataclass_fields__))
+        for i, entry in enumerate(merged["fleet"])
+    )
 
     profiles = None
     if merged["profiles"] != "bundled":
@@ -193,95 +188,63 @@ def config_from_dict(raw: dict, base_dir: Path | str = ".") -> RunConfig:
             _hourly_csv(base_dir / p, "profiles", ("load", "pv"), DailyProfile) for p in paths
         )
 
-    if merged["prices"] == "bundled":
+    prices = merged["prices"]
+    if prices == "bundled":
         prices = bundled_price_schedule()
-    elif isinstance(merged["prices"], dict):
-        spec = merged["prices"]
-        try:
-            prices = PriceSchedule(
-                feed_in=float(spec.get("feed_in", 0.2)),
-                emergency=np.full(HOURS, float(spec["emergency_flat"]))
-                if "emergency_flat" in spec
-                else np.asarray(spec["emergency"], dtype=float),
-                day_ahead=float(spec.get("day_ahead", 0.5)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigInvalid(f"prices: {e}") from e
-    elif isinstance(merged["prices"], str):
-        schedule = functools.partial(PriceSchedule, feed_in=0.2, day_ahead=0.5)
-        prices = _hourly_csv(base_dir / merged["prices"], "prices", ("emergency",), schedule)
+    elif isinstance(prices, dict):
+        spec = dict(_keyed("prices", prices, ("feed_in", "day_ahead", "emergency",
+                                               "emergency_flat")))
+        if "emergency_flat" in spec:
+            flat = real("prices: emergency_flat", spec.pop("emergency_flat"))
+            spec["emergency"] = np.full(HOURS, flat)
+        prices = _built("prices", PriceSchedule, **spec)
+    elif isinstance(prices, str):
+        prices = _hourly_csv(base_dir / prices, "prices", ("emergency",), PriceSchedule)
     else:
         raise ConfigInvalid(f"prices: expected 'bundled', a mapping or a CSV path, "
-                            f"got {merged['prices']!r}")
+                            f"got {prices!r}")
 
-    try:
-        dis = dict(merged["disruption"])
-        for name in ("ramp_hours", "failure_hours"):
-            if name in dis:
-                dis[name] = _setting(merged, "disruption", name, _whole)
-        if _flag("disruption.use_reported", dis.pop("use_reported", False)):
-            # reported rates win unless the user explicitly set a probability
-            user_dis = raw.get("disruption") or {}
-            base = DisruptionConfig.reported()
-            for name in ("p_sudden", "p_gradual", "p_failure"):
-                if name not in user_dis:
-                    dis[name] = getattr(base, name)
-        disruption = DisruptionConfig(**dis)
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"disruption: {e}") from e
+    dis = dict(_keyed("disruption", merged["disruption"],
+                      (*DisruptionConfig.__dataclass_fields__, "use_reported")))
+    if flag("disruption: use_reported", dis.pop("use_reported")):
+        # reported rates win unless the user explicitly set a probability
+        base = DisruptionConfig.reported()
+        for name in ("p_sudden", "p_gradual", "p_failure"):
+            if name not in raw["disruption"]:
+                dis[name] = getattr(base, name)
+    disruption = _built("disruption", DisruptionConfig, **dis)
 
-    if merged["policy"] not in POLICY_RULES:
-        raise ConfigInvalid(
-            f"policy: unknown rule {merged['policy']!r}, expected one of {POLICY_RULES}"
-        )
-    try:
-        margin = float(merged["margin"])
-        ScriptedPolicy(merged["policy"], margin)  # the policy's own range check
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"margin: {e}") from e
+    policy = _built("policy", ScriptedPolicy, rule=merged["policy"], margin=merged["margin"])
 
-    try:
-        env = EnvConfig(
-            fleet=fleet,
-            profiles=profiles,
-            prices=prices,
-            mechanism=merged["mechanism"],
-            mrda_rounds=_setting(merged, "mrda", "rounds", _whole),
-            mrda_concession=_setting(merged, "mrda", "concession", float),
-            m_lower=_setting(merged, "market_factor", "lower", float),
-            m_upper=_setting(merged, "market_factor", "upper", float),
-            process_sigma=_setting(merged, "noise", "process_sigma", float),
-            obs_sigma=_setting(merged, "noise", "obs_sigma", float),
-            disruption=disruption,
-            delta_past=_setting(merged, "window", "past", _whole),
-            delta_future=_setting(merged, "window", "future", _whole),
-            carry_over_soc=_flag("carry_over_soc", merged["carry_over_soc"]),
-        )
-    except (TypeError, KeyError) as e:
-        raise ConfigInvalid(str(e)) from e
+    env = EnvConfig(
+        fleet=fleet,
+        profiles=profiles,
+        prices=prices,
+        mechanism=merged["mechanism"],
+        mrda_rounds=mrda["rounds"],
+        mrda_concession=mrda["concession"],
+        m_lower=mf["lower"],
+        m_upper=mf["upper"],
+        process_sigma=noise["process_sigma"],
+        obs_sigma=noise["obs_sigma"],
+        disruption=disruption,
+        delta_past=window["past"],
+        delta_future=window["future"],
+        carry_over_soc=merged["carry_over_soc"],
+    )
 
-    try:
-        learner_kw = dict(merged["learner"])
-        for key in ("actor_hidden", "critic_hidden", "action_bias"):
-            if key in learner_kw:
-                learner_kw[key] = tuple(learner_kw[key])
-        learner = Hyperparams(**learner_kw)
-    except (TypeError, ValueError) as e:
-        raise ConfigInvalid(f"learner: {e}") from e
-
-    seed = merged["seed"]
-    episodes = merged["episodes"]
-    for name, value in (("seed", seed), ("episodes", episodes)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigInvalid(f"{name}: must be a non-negative integer, got {value!r}")
+    learner = dict(_keyed("learner", merged["learner"], Hyperparams.__dataclass_fields__))
+    for key in ("actor_hidden", "critic_hidden", "action_bias"):
+        if isinstance(learner.get(key), list):
+            learner[key] = tuple(learner[key])
 
     return RunConfig(
         env=env,
-        learner=learner,
-        policy=merged["policy"],
-        margin=margin,
-        seed=seed,
-        episodes=episodes,
+        learner=_built("learner", Hyperparams, **learner),
+        policy=policy.rule,
+        margin=float(policy.margin),
+        seed=merged["seed"],
+        episodes=merged["episodes"],
         raw=merged,
     )
 
@@ -302,7 +265,7 @@ def load_config(
             text = path.read_text()
         try:
             raw = yaml.load(text, Loader=_YAML_LOADER) or {}
-        except yaml.YAMLError as e:
+        except (yaml.YAMLError, ValueError) as e:  # ValueError: an int too long to read
             raise ConfigInvalid(f"config is not valid YAML: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigInvalid("config root must be a mapping")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, EpisodeFinished, InvalidAction
+from .errors import ConfigInvalid, EpisodeFinished, InvalidAction, flag, real, whole
 from .market import (
     MarketFactor,
     PriceEnvelope,
@@ -99,17 +99,19 @@ class EnvConfig:
             raise ConfigInvalid("fleet: at least one microgrid required")
         if self.profiles is not None and len(self.profiles) != len(self.fleet):
             raise ConfigInvalid("profiles: need one profile per fleet member")
-        if not (1 <= self.horizon <= HOURS):
-            raise ConfigInvalid(f"horizon: must be in [1, {HOURS}], got {self.horizon}")
-        if not (0 <= self.delta_past < HOURS and 0 <= self.delta_future < HOURS):
-            raise ConfigInvalid(f"window: past and future must be whole hours in [0, {HOURS - 1}], "
-                                f"got {self.delta_past!r} and {self.delta_future!r}")
-        if not all(math.isfinite(s) and s >= 0 for s in (self.process_sigma, self.obs_sigma)):
-            raise ConfigInvalid("noise sigmas must be finite and non-negative")
-        if not (self.m_lower <= self.m_upper):
-            raise ConfigInvalid("market-factor thresholds must satisfy lower <= upper")
-        if self.mrda_rounds < 1 or not (0 <= self.mrda_concession < 1):
-            raise ConfigInvalid("mrda: rounds >= 1 and concession in [0, 1) required")
+        whole("horizon", self.horizon, 1, HOURS)
+        whole("window: past", self.delta_past, 0, HOURS - 1)
+        whole("window: future", self.delta_future, 0, HOURS - 1)
+        for key in ("process_sigma", "obs_sigma"):
+            if real(f"noise: {key}", getattr(self, key)) < 0:
+                raise ConfigInvalid(f"noise: {key} must be >= 0, got {getattr(self, key)!r}")
+        if real("market_factor: lower", self.m_lower) > real("market_factor: upper", self.m_upper):
+            raise ConfigInvalid("market_factor: lower must be <= upper")
+        whole("mrda: rounds", self.mrda_rounds, 1)
+        if not (0 <= real("mrda: concession", self.mrda_concession) < 1):
+            raise ConfigInvalid(
+                f"mrda: concession must be in [0, 1), got {self.mrda_concession!r}")
+        flag("carry_over_soc", self.carry_over_soc)
 
     @property
     def n_agents(self) -> int:

@@ -31,7 +31,6 @@ itself all draw from explicitly keyed streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ from ..env import (
     observation_dim,
     rollout_day,
 )
+from ..errors import real, whole
 from ..scenario import rng_stream
 from .nets import CriticNet, DiagGaussian, PolicyNet
 from .ppo import (
@@ -67,18 +67,6 @@ TAG_SHUFFLE = 1003
 #: the largest layer width a config may ask for (the paper-scale critic's
 #: first layer is 2056)
 MAX_HIDDEN = 4096
-
-
-def _real(value) -> bool:
-    """A finite int or float; a bool or a string is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _require_whole(name: str, value, least: int, most: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
-    if most is not None and value > most:
-        raise ValueError(f"{name} must be at most {most}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,31 +95,31 @@ class Hyperparams:
     action_bias: tuple[float, float, float] = (0.0, 0.0, 1.5)
 
     def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0 and 0.0 < self.lam < 1.0):
-            raise ValueError("gamma and lam must lie in (0, 1)")
+        for name in ("gamma", "lam"):
+            if not (0.0 < real(name, getattr(self, name)) < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)!r}")
         for name, least in (("epochs", 1), ("episodes", 0), ("episodes_per_update", 1)):
-            _require_whole(name, getattr(self, name), least)
-        _require_whole("lstm_hidden", self.lstm_hidden, 1, MAX_HIDDEN)
+            whole(name, getattr(self, name), least)
+        whole("lstm_hidden", self.lstm_hidden, 1, MAX_HIDDEN)
         # advantages are normalized per minibatch, which needs two steps
-        _require_whole("minibatch_size", self.minibatch_size, 2)
+        whole("minibatch_size", self.minibatch_size, 2)
         for name in ("actor_hidden", "critic_hidden"):
             sizes = getattr(self, name)
             if len(sizes) != 2:
                 raise ValueError(f"{name} must hold 2 layer sizes, got {sizes!r}")
             for size in sizes:
-                _require_whole(name, size, 1, MAX_HIDDEN)
+                whole(name, size, 1, MAX_HIDDEN)
         for name in ("clip_eps", "lr_actor", "lr_critic", "reward_scale"):
-            if not _real(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be a positive finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if not _real(self.entropy_coef) or self.entropy_coef < 0:
-            raise ValueError(f"entropy_coef must be a finite number >= 0, "
-                             f"got {self.entropy_coef!r}")
-        if not _real(self.log_std_init):
-            raise ValueError(f"log_std_init must be a finite number, got {self.log_std_init!r}")
-        if len(self.action_bias) != ACTION_DIM or not all(map(_real, self.action_bias)):
-            raise ValueError(f"action_bias must hold {ACTION_DIM} finite numbers, "
+            if real(name, getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if real("entropy_coef", self.entropy_coef) < 0:
+            raise ValueError(f"entropy_coef must be >= 0, got {self.entropy_coef!r}")
+        real("log_std_init", self.log_std_init)
+        if len(self.action_bias) != ACTION_DIM:
+            raise ValueError(f"action_bias must hold {ACTION_DIM} numbers, "
                              f"got {self.action_bias!r}")
+        for bias in self.action_bias:
+            real("action_bias", bias)
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {tuple(OPTIMIZERS)}, got {self.optimizer!r}"

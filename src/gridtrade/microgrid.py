@@ -13,11 +13,11 @@ keeping the hourly power balance exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import real
 from .market import PriceEnvelope
 from .money import from_micro, to_micro
 
@@ -39,9 +39,7 @@ class MicrogridParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            real(f.name, getattr(self, f.name))
         if not (0.0 <= self.e_min <= self.e0 <= self.e_max):
             raise ValueError(
                 f"need 0 <= e_min <= e0 <= e_max, got ({self.e_min}, {self.e0}, {self.e_max})"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import Observation
+from .errors import real
 from .microgrid import FleetParams, _pos, max_bid_quantity
 from .scenario import STREAM_ACTION, rng_stream
 
@@ -31,6 +32,7 @@ class PolicyContext:
     delta_past: int = 1  # index of the current-hour slot in the window
 
 
+@dataclass(frozen=True)
 class ScriptedPolicy:
     """Rule-based actor emitting actions inside the declared box.
 
@@ -45,13 +47,14 @@ class ScriptedPolicy:
     * ``zero``: always submits a null quotation.
     """
 
-    def __init__(self, rule: str = "net-position", margin: float = 0.1):
-        if rule not in POLICY_RULES:
-            raise ValueError(f"rule must be one of {POLICY_RULES}, got {rule!r}")
-        if not (0.0 <= margin <= 1.0):
-            raise ValueError("margin must be in [0, 1]")
-        self.rule = rule
-        self.margin = margin
+    rule: str = "net-position"
+    margin: float = 0.1
+
+    def __post_init__(self):
+        if self.rule not in POLICY_RULES:
+            raise ValueError(f"rule must be one of {POLICY_RULES}, got {self.rule!r}")
+        if not (0.0 <= real("margin", self.margin) <= 1.0):
+            raise ValueError(f"margin must be in [0, 1], got {self.margin!r}")
 
     def act(self, obs: Observation, ctx: PolicyContext) -> np.ndarray:
         """The fleet's (n, 3) joint action; row i is agent i's action."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .env import METRIC_NAMES, EnvConfig, episode_metrics, metrics_columns
-from .errors import ChecksumMismatch, IoError, UnknownFormat, file_errors
+from .errors import ChecksumMismatch, IoError, UnknownFormat, file_errors, whole
 from .marl.train import FleetNets, Hyperparams, build_nets
 
 
@@ -312,7 +312,7 @@ def _verified_payload(path: Path) -> dict:
         text = Path(path).read_bytes().decode()
     try:
         envelope = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int too long to convert
         raise ChecksumMismatch(f"checkpoint {path} is not valid JSON: {e}") from e
     envelope = envelope if isinstance(envelope, dict) else {}
     payload, checksum = envelope.get("payload"), envelope.get("checksum")
@@ -354,17 +354,19 @@ def load_checkpoint(
         for blob in agents
     ):
         raise ChecksumMismatch(f"checkpoint {path} has an agent without actor and critic lists")
-    episode = payload["episode"]
-    if isinstance(episode, bool) or not isinstance(episode, int) or episode < 0:
-        raise ChecksumMismatch(f"checkpoint {path} episode is not a count: {episode!r}")
-    if payload["version"] != CHECKPOINT_VERSION:
-        raise ChecksumMismatch(
-            f"checkpoint {path} version {payload['version']} not supported"
-        )
     stored = payload["hyper"]
     sizes = ("lstm_hidden", "actor_hidden", "critic_hidden")
     if not isinstance(stored, dict) or not all(key in stored for key in sizes):
         raise ChecksumMismatch(f"checkpoint {path} hyper lacks the network sizes")
+    try:
+        version = whole("version", payload["version"], 1)
+        episode = whole("episode", payload["episode"], 0)
+        for size in (stored["lstm_hidden"], *stored["actor_hidden"], *stored["critic_hidden"]):
+            whole("hyper layer size", size, 1)
+    except (TypeError, ValueError) as e:  # TypeError: a layer list that is no list
+        raise ChecksumMismatch(f"checkpoint {path}: {e}") from e
+    if version != CHECKPOINT_VERSION:
+        raise ChecksumMismatch(f"checkpoint {path} version {version} not supported")
     if [stored[key] for key in sizes] != [
         hyper.lstm_hidden, list(hyper.actor_hidden), list(hyper.critic_hidden)
     ]:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import real, whole
 from .microgrid import FleetParams
 
 HOURS = 24
@@ -65,17 +66,21 @@ class DailyProfile:
 class PriceSchedule:
     """Fixed feed-in tariff plus a 24-hour emergency price curve."""
 
-    feed_in: float
     emergency: np.ndarray
+    feed_in: float = 0.2
     day_ahead: float = 0.5
 
     def __post_init__(self):
-        arr = np.asarray(self.emergency, dtype=float)
+        emergency = self.emergency
+        if not isinstance(emergency, np.ndarray):
+            emergency = [real(f"emergency[{h}]", v) for h, v in enumerate(emergency)]
+        arr = np.asarray(emergency, dtype=float)
         if arr.shape != (HOURS,):
             raise ValueError(f"emergency schedule must have exactly {HOURS} values")
         if not np.isfinite(arr).all():
             raise ValueError("emergency schedule must be finite")
-        if not (0 <= self.feed_in <= self.day_ahead <= arr.min()):
+        if not (0 <= real("feed_in", self.feed_in) <= real("day_ahead", self.day_ahead)
+                <= arr.min()):
             raise ValueError(
                 "price hierarchy violated: need feed_in <= day_ahead <= emergency at every hour"
             )
@@ -97,15 +102,14 @@ class DisruptionConfig:
 
     def __post_init__(self):
         for name in ("p_sudden", "p_gradual", "p_failure"):
-            p = getattr(self, name)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name} must be a probability, got {p}")
-        if not (0.0 <= self.drop_lo <= self.drop_hi <= 1.0):
-            raise ValueError("drop factor range must satisfy 0 <= lo <= hi <= 1")
-        if not (0.0 <= self.ramp_floor <= 1.0):
+            if not (0.0 <= real(name, getattr(self, name)) <= 1.0):
+                raise ValueError(f"{name} must be a probability, got {getattr(self, name)}")
+        if not (0.0 <= real("drop_lo", self.drop_lo) <= real("drop_hi", self.drop_hi) <= 1.0):
+            raise ValueError("drop factor range must satisfy 0 <= drop_lo <= drop_hi <= 1")
+        if not (0.0 <= real("ramp_floor", self.ramp_floor) <= 1.0):
             raise ValueError(f"ramp_floor must lie in [0, 1], got {self.ramp_floor}")
-        if self.ramp_hours < 1 or self.failure_hours < 1:
-            raise ValueError("effect durations must be at least one hour")
+        whole("ramp_hours", self.ramp_hours, 1)
+        whole("failure_hours", self.failure_hours, 1)
 
     @classmethod
     def reported(cls) -> "DisruptionConfig":
@@ -156,7 +160,7 @@ def bundled_price_schedule() -> PriceSchedule:
         + 1.25 * np.exp(-0.5 * ((h - 19.0) / 2.6) ** 2)
     )
     shape = (shape - shape.min()) / (shape.max() - shape.min())
-    return PriceSchedule(feed_in=0.2, emergency=1.5 + 2.0 * shape, day_ahead=0.5)
+    return PriceSchedule(emergency=1.5 + 2.0 * shape)
 
 
 # ---------------------------------------------------------------------------

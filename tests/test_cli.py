@@ -229,11 +229,15 @@ class TestTrain:
         ("actor-weight", True),
         ("critic-weight", {}),
         ("actor-weight", 10**400),
+        ("version", True),
+        ("version", 1.0),
+        ("hyper", {"lstm_hidden": 4.0, "actor_hidden": [8, 8], "critic_hidden": [8, 8]}),
     ], ids=["hyper-list", "hyper-no-lstm-hidden", "hyper-no-actor-hidden",
             "hyper-no-critic-hidden", "episode-string", "episode-list", "episode-bool",
             "episode-negative", "actor-mapping", "critic-mapping", "actor-weight-null",
             "actor-weight-nan", "critic-weight-infinity", "actor-weight-true",
-            "critic-weight-object", "actor-weight-huge-int"])
+            "critic-weight-object", "actor-weight-huge-int", "version-true", "version-float",
+            "hyper-lstm-hidden-float"])
     def test_resume_from_a_payload_with_a_mistyped_field_exits_1(self, tmp_path, capsys,
                                                                field, value):
         out = tmp_path / "tr"
@@ -657,20 +661,62 @@ class TestMalformedConfigValues:
         ("simulate", {"disruption": {"ramp_floor": -1.0, "p_gradual": 0.5}, "episodes": 1}),
         ("simulate", {"disruption": {"ramp_hours": 2.5}, "episodes": 1}),
         ("simulate", {"disruption": {"failure_hours": 2.5}, "episodes": 1}),
+        # a quoted number, a bool or a whole number written as a float is not a number here
+        ("simulate", {"market_factor": {"lower": "-30"}}),
+        ("simulate", {"market_factor": {"upper": True}}),
+        ("simulate", {"margin": True}),
+        ("simulate", {"margin": "0.1"}),
+        ("simulate", {"fleet": fleet_with(0, beta=True)}),
+        ("simulate", {"fleet": fleet_with(0, e0=True)}),
+        ("simulate", {"noise": {"obs_sigma": "5e-2"}}),  # how PyYAML reads 5e-2
+        ("simulate", {"noise": {"obs_sigma": "0.2"}}),
+        ("simulate", {"noise": {"process_sigma": True}}),
+        ("simulate", {"window": {"past": 3.0}}),
+        ("simulate", {"window": {"past": "3"}}),
+        ("simulate", {"mrda": {"rounds": "2"}}),
+        ("simulate", {"mrda": {"concession": "0.5"}}),
+        ("simulate", {"disruption": {"p_sudden": True}}),
+        ("simulate", {"disruption": {"ramp_hours": "2"}}),
+        ("simulate", {"disruption": {"failure_hours": 24.0}}),
+        ("simulate", {"disruption": {"ramp_floor": True, "p_gradual": 0.5}}),
+        ("simulate", {"disruption": {"drop_hi": True}}),
+        ("simulate", {"prices": {"feed_in": "0.2", "emergency_flat": 2.0}}),
+        ("simulate", {"prices": {"emergency_flat": "2.0"}}),
+        ("simulate", {"prices": {"emergency": ["2.0"] * 24}}),
+        ("simulate", {"prices": {"emergency": [True] * 24, "feed_in": 0.2, "day_ahead": 0.5}}),
+        # a misspelt key is an error, not a default
+        ("simulate", {"noise": {"obs_sgima": 0.9}}),
+        ("simulate", {"window": {"pats": 2}}),
+        ("simulate", {"mrda": {"round": 2}}),
+        ("simulate", {"market_factor": {"lowr": -40.0}}),
+        ("simulate", {"prices": {"feedin": 0.3, "emergency_flat": 2.0}}),
     ], ids=["margin-abc", "margin-2.0", "mrda-rounds-x", "obs-sigma-abc", "mf-lower-x",
             "window-past-x", "disruption-5", "seed-true", "episodes-true", "optimizer-rmsprop",
             "profiles-5", "prices-5", "window-past-1.5", "mrda-rounds-2.7", "carry-over-soc-no",
             "use-reported-no", "minibatch-size-1", "window-past-1e30", "window-future-1e30",
             "window-future-24", "beta-inf", "l-max-nan", "t-charge-max-inf", "g-max-inf",
             "process-sigma-nan", "obs-sigma-inf", "ramp-floor-3", "ramp-floor-negative",
-            "ramp-hours-2.5", "failure-hours-2.5"])
+            "ramp-hours-2.5", "failure-hours-2.5", "mf-lower-quoted", "mf-upper-true",
+            "margin-true", "margin-quoted", "beta-true", "e0-true", "obs-sigma-5e-2",
+            "obs-sigma-quoted", "process-sigma-true", "window-past-3.0", "window-past-quoted",
+            "mrda-rounds-quoted", "mrda-concession-quoted", "p-sudden-true", "ramp-hours-quoted",
+            "failure-hours-24.0", "ramp-floor-true", "drop-hi-true", "feed-in-quoted",
+            "emergency-flat-quoted", "emergency-hour-quoted", "emergency-hour-true",
+            "noise-misspelt", "window-misspelt", "mrda-misspelt", "market-factor-misspelt",
+            "prices-misspelt"])
     def test_exit_code_2(self, command, raw, tmp_path, capsys):
         argv = [command, "--config", write_cfg(tmp_path, **raw), "--out", str(tmp_path / "o")]
         if "episodes" not in raw:
             argv += ["--episodes", "0"]
         rc = main(argv)
         assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        # the message names the key: the section and, in a mapping, the key within it
+        section, value = next(iter(raw.items()))
+        assert section in err
+        if isinstance(value, dict):
+            assert next(iter(value)) in err
 
     @pytest.mark.parametrize("learner", [
         {"lstm_hidden": 0},
