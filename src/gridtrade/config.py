@@ -4,8 +4,9 @@ A run config is a single human-editable YAML file covering the fleet,
 scenario inputs, market mechanism, noise/disruption settings, the learner,
 and the seed. Every key can be overridden through environment variables
 with the ``GRIDTRADE_`` prefix, nesting expressed with double underscores
-(``GRIDTRADE_LEARNER__GAMMA=0.9``). The parsed dictionary hashes stably so
-run manifests can pin the exact configuration.
+(``GRIDTRADE_LEARNER__GAMMA=0.9``), and a whole number indexes a list the
+config file holds (``GRIDTRADE_FLEET__0__BETA=0.9``). The parsed dictionary
+hashes stably so run manifests can pin the exact configuration.
 """
 
 from __future__ import annotations
@@ -95,20 +96,33 @@ def default_config_dict() -> dict:
     }
 
 
+def _slot(key: str, node, part: str):
+    """`node`'s list index (a whole number) or mapping key for `part` of variable `key`."""
+    if isinstance(node, list) and part in [str(i) for i in range(len(node))]:
+        return int(part)
+    if isinstance(node, list) or part.isdecimal():
+        raise ConfigInvalid(f"{key}: {part!r} is not an index of a list the config file holds")
+    return part
+
+
 def apply_env_overrides(raw: dict, environ: dict) -> dict:
-    """Fold GRIDTRADE_* environment variables into the config dictionary."""
-    out = json.loads(json.dumps(raw))  # deep copy of plain data
+    """Fold GRIDTRADE_* environment variables into a copy of the config dictionary;
+    only the containers on a variable's path are copied, so `raw` stays as it is."""
+    out = dict(raw)
     for key, value in sorted(environ.items()):
         if not key.startswith(ENV_PREFIX):
             continue
-        path = key[len(ENV_PREFIX):].lower().split("__")
+        *parents, last = key[len(ENV_PREFIX):].lower().split("__")
         node = out
-        for part in path[:-1]:
-            if not isinstance(node.get(part), dict):
-                node[part] = {}
-            node = node[part]
+        for part in parents:
+            slot = _slot(key, node, part)
+            child = node.get(slot) if isinstance(node, dict) else node[slot]
+            child = child.copy() if isinstance(child, (dict, list)) else {}
+            node[slot] = child
+            node = child
+        slot = _slot(key, node, last)
         try:
-            node[path[-1]] = yaml.safe_load(value)
+            node[slot] = yaml.safe_load(value)
         except (yaml.YAMLError, ValueError) as e:
             raise ConfigInvalid(f"{key} is not valid YAML: {e}") from e
     return out

@@ -274,10 +274,12 @@ def clear_jpq(
     """Joint price-quantity clearing with round-robin equitable matching.
 
     Pointers b and s sweep the sorted sides in lockstep, wrapping to the
-    first entry that still has residual quantity. A failed cross advances
-    (and permanently retires, via the start pointer) the buyer under
-    surplus, the seller under deficit, and ends the auction when balanced.
-    Matched pairs settle min residual at the mid-point price.
+    first entry that still has residual quantity. A failed cross ends the
+    auction when balanced; otherwise it advances the pointer of the buyers
+    under surplus, the sellers under deficit, and retires that side's front
+    entry for good (the start pointer's: once a trade has moved the pointer
+    past it, not the entry that failed). Matched pairs settle min residual
+    at the mid-point price.
 
     Start pointers are kept at the first index with positive residual, so
     a non-front agent exhausting never desynchronizes the wrap-around. A
@@ -384,19 +386,15 @@ def clear_greedy(quotes: list[Quotation]) -> TradeLedger:
 def _greedy_match(buy_rows, sell_rows) -> list[Trade]:
     """Sequential matching over [id, signed price, residual] rows.
 
-    Each trade decrements the residuals of its two rows in place.
+    Every row enters with a positive residual. Each trade decrements the
+    residuals of its two rows in place, and a row is passed as soon as its
+    residual is used up.
     """
     trades = []
     bi = si = 0
     nb, ns = len(buy_rows), len(sell_rows)
     while bi < nb and si < ns:
         buy, sell = buy_rows[bi], sell_rows[si]
-        if buy[2] <= 0:
-            bi += 1
-            continue
-        if sell[2] <= 0:
-            si += 1
-            continue
         b_id, p_b, q_b = buy
         s_id, p_s, q_s = sell
         p_s = -p_s  # the seller's ask

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..env import ACTION_HIGH, ACTION_LOW
+from ..env import ACTION_DIM, ACTION_HIGH, ACTION_LOW
 from .autodiff import Tensor, clip, lstm_cell, lstm_seq, relu
 
 LOG_STD_MIN = -5.0
@@ -160,7 +160,6 @@ class PolicyNet:
     def __init__(
         self,
         obs_dim: int,
-        action_dim: int = 3,
         lstm_hidden: int = 32,
         trunk_hidden: tuple[int, int] = (64, 64),
         log_std_init: float = -0.5,
@@ -169,15 +168,13 @@ class PolicyNet:
     ):
         rngs = rngs or [np.random.default_rng(0)]
         self.n_agents = len(rngs)
-        self.obs_dim = obs_dim
-        self.action_dim = action_dim
         self.lstm = LSTMCell(obs_dim, lstm_hidden, rngs)
         self.fc1 = Linear(lstm_hidden, trunk_hidden[0], rngs)
         self.fc2 = Linear(trunk_hidden[0], trunk_hidden[1], rngs)
-        self.mean_head = Linear(trunk_hidden[1], action_dim, rngs, scale=0.01)
+        self.mean_head = Linear(trunk_hidden[1], ACTION_DIM, rngs, scale=0.01)
         if mean_bias_init is not None:
             self.mean_head.b.data[...] = np.asarray(mean_bias_init, dtype=np.float64)
-        self.log_std = Tensor(np.full((self.n_agents, 1, action_dim), log_std_init),
+        self.log_std = Tensor(np.full((self.n_agents, 1, ACTION_DIM), log_std_init),
                               requires_grad=True)
         self.store = ParamStore(
             self.lstm.params()
@@ -207,9 +204,9 @@ class PolicyNet:
         feats = lstm_seq(obs, lstm.Wx, lstm.Wh, lstm.b).reshape(n, E * T, lstm.hidden)
         z = relu(self.fc1(feats))
         z = relu(self.fc2(z))
-        means = self.mean_head(z).reshape(n, E, T, self.action_dim)
+        means = self.mean_head(z).reshape(n, E, T, ACTION_DIM)
         log_std = clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
-        return means, log_std.reshape(n, 1, 1, self.action_dim)
+        return means, log_std.reshape(n, 1, 1, ACTION_DIM)
 
     def distribution(
         self, obs: np.ndarray, hidden: tuple[np.ndarray, np.ndarray]
@@ -236,7 +233,6 @@ class CriticNet:
         rngs: Sequence[np.random.Generator] | None = None,
     ):
         rngs = rngs or [np.random.default_rng(0)]
-        self.input_dim = input_dim
         self.fc1 = Linear(input_dim, hidden[0], rngs)
         self.fc2 = Linear(hidden[0], hidden[1], rngs)
         self.head = Linear(hidden[1], 1, rngs)

@@ -49,11 +49,11 @@ def compute_gae(
     return adv
 
 
-def normalize_advantages(adv: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     """Zero mean and unit spread along the last axis; each leading row (an
     agent's minibatch) is normalized on its own."""
     adv = np.asarray(adv, dtype=np.float64)
-    return (adv - adv.mean(axis=-1, keepdims=True)) / (adv.std(axis=-1, keepdims=True) + eps)
+    return (adv - adv.mean(axis=-1, keepdims=True)) / (adv.std(axis=-1, keepdims=True) + 1e-8)
 
 
 def actor_loss(
@@ -111,10 +111,11 @@ class Adam:
     plain SGD is unstable at desk scale. The moments and two scratch arrays
     are shaped like the store, so a step allocates nothing."""
 
-    def __init__(self, store: ParamStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m, self.v, self._update, self._denom = (np.zeros_like(store.data) for _ in range(4))
         self.t = 0
 
@@ -158,12 +159,6 @@ class Sgd:
 
 
 OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
-
-
-def make_optimizer(kind: str, store: ParamStore, lr: float):
-    """An optimizer by name over `store`; `Hyperparams` rejects names not in
-    OPTIMIZERS."""
-    return OPTIMIZERS[kind](store, lr)
 
 
 @dataclass

@@ -54,7 +54,6 @@ from .ppo import (
     actor_loss,
     compute_gae,
     critic_loss,
-    make_optimizer,
     normalize_advantages,
     policy_logp_and_entropy,
 )
@@ -138,39 +137,32 @@ class Hyperparams:
         )
 
 
-class ObsNormalizer:
-    """Static per-feature scaling derived from the fleet parameters.
+def observation_scales(config: EnvConfig) -> np.ndarray:
+    """Static (n, obs_dim) per-feature scales derived from the fleet parameters.
 
     Observation matrices carry physical units (kWh, $/kWh); networks see
     each feature divided by its natural scale. Deterministic, no running
     statistics.
     """
-
-    def __init__(self, config: EnvConfig):
-        plant = config.plant
-        n, W = config.n_agents, config.window_len
-        load_scale = np.maximum(plant.l_max, 1.0)
-        field_scale = {
-            "q_da": load_scale,
-            "load_est": load_scale,
-            "gen_est": np.maximum(plant.g_max, 1.0),
-            "p_e": np.full(n, float(config.prices.emergency.max())),
-        }
-        window = np.stack([field_scale[f] for f in WINDOW_FIELDS], axis=-1)
-        # a fleet observation holding each feature's scale, laid out by `as_matrix`
-        scale = Observation(
-            m=1,
-            soc=np.maximum(plant.e_max, 1.0),
-            window=np.repeat(window[:, None, :], W, axis=1),
-            window_mask=np.ones(W),
-            hour_sin=1.0,
-            hour_cos=1.0,
-        )
-        self.scales = scale.as_matrix()
-
-    def __call__(self, obs_matrix: np.ndarray) -> np.ndarray:
-        """(n, obs_dim) observations, each row divided by its agent's scales."""
-        return obs_matrix / self.scales
+    plant = config.plant
+    n, W = config.n_agents, config.window_len
+    load_scale = np.maximum(plant.l_max, 1.0)
+    field_scale = {
+        "q_da": load_scale,
+        "load_est": load_scale,
+        "gen_est": np.maximum(plant.g_max, 1.0),
+        "p_e": np.full(n, float(config.prices.emergency.max())),
+    }
+    window = np.stack([field_scale[f] for f in WINDOW_FIELDS], axis=-1)
+    # a fleet observation holding each feature's scale, laid out by `as_matrix`
+    return Observation(
+        m=1,
+        soc=np.maximum(plant.e_max, 1.0),
+        window=np.repeat(window[:, None, :], W, axis=1),
+        window_mask=np.ones(W),
+        hour_sin=1.0,
+        hour_cos=1.0,
+    ).as_matrix()
 
 
 @dataclass
@@ -230,13 +222,13 @@ def train(
     """
     env = TradingEnv(env_config)
     n, T, D = env_config.n_agents, env_config.horizon, observation_dim(env_config)
-    normalizer = ObsNormalizer(env_config)
+    scales = observation_scales(env_config)
     if nets is None:
         nets = build_nets(env_config, hyper, seed)
     actor, critic = nets.actor, nets.critic
 
-    actor_opt = make_optimizer(hyper.optimizer, actor.store, hyper.lr_actor)
-    critic_opt = make_optimizer(hyper.optimizer, critic.store, hyper.lr_critic)
+    actor_opt = OPTIMIZERS[hyper.optimizer](actor.store, hyper.lr_actor)
+    critic_opt = OPTIMIZERS[hyper.optimizer](critic.store, hyper.lr_critic)
     sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 
@@ -251,7 +243,7 @@ def train(
 
         def act(hour, obs):
             nonlocal hidden
-            obs_day[hour] = normalizer(obs.as_matrix())
+            obs_day[hour] = obs.as_matrix() / scales
             dist, hidden = actor.distribution(obs_day[hour], hidden)
             means[hour] = dist.mean
             actions, presquash[hour] = dist.sample(noise[hour])

@@ -172,12 +172,11 @@ CHECKPOINT_VERSION = 1
 # A checkpoint file is the envelope {"checksum":"<sha256 hex>","payload":...}
 # in compact form, its payload rendered canonically: json.dumps with sorted
 # keys and compact separators.
-_ENVELOPE_HEAD = '{"checksum":"'
-_PAYLOAD_KEY = '","payload":'
+_ENVELOPE_HEAD = b'{"checksum":"'
+_PAYLOAD_KEY = b'","payload":'
 _PAYLOAD_START = len(_ENVELOPE_HEAD) + 64 + len(_PAYLOAD_KEY)
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _CHUNK = 4096  # values rendered per piece
-_HASH_PIECE = 1 << 20  # characters of a read file hashed per piece
 
 
 def _encode(value) -> bytes:
@@ -271,7 +270,7 @@ def save_checkpoint(
     with file_errors(path, "write checkpoint"):
         try:
             with open(partial, "wb") as fh:
-                fh.write(f"{_ENVELOPE_HEAD}{'0' * 64}{_PAYLOAD_KEY}".encode())
+                fh.write(_ENVELOPE_HEAD + b"0" * 64 + _PAYLOAD_KEY)
                 for piece in _render(payload):
                     digest.update(piece)
                     fh.write(piece)
@@ -283,22 +282,16 @@ def save_checkpoint(
             partial.unlink(missing_ok=True)
 
 
-def _own_payload_checksum(text: str, envelope: dict) -> str | None:
+def _own_payload_checksum(data: bytes) -> str | None:
     """The sha256 of the payload's bytes as they stand in the file, if the
-    file has the writer's compact envelope; None otherwise."""
+    file is laid out as the writer's compact envelope; None otherwise."""
     if not (
-        len(envelope) == 2
-        and text.startswith(_ENVELOPE_HEAD)
-        and text.startswith(_PAYLOAD_KEY, _PAYLOAD_START - len(_PAYLOAD_KEY))
-        and text.endswith("}")
+        data.startswith(_ENVELOPE_HEAD)
+        and data.startswith(_PAYLOAD_KEY, _PAYLOAD_START - len(_PAYLOAD_KEY))
+        and data.endswith(b"}")
     ):
         return None
-    digest = hashlib.sha256()
-    end = len(text) - 1
-    # text came from strict UTF-8, so re-encoding gives back the file's bytes
-    for start in range(_PAYLOAD_START, end, _HASH_PIECE):
-        digest.update(text[start : min(start + _HASH_PIECE, end)].encode())
-    return digest.hexdigest()
+    return hashlib.sha256(memoryview(data)[_PAYLOAD_START:-1]).hexdigest()
 
 
 def _verified_payload(path: Path) -> dict:
@@ -309,7 +302,10 @@ def _verified_payload(path: Path) -> dict:
     bytes do not match, against the canonical rendering of its payload.
     """
     with file_errors(path, "read checkpoint"):
-        text = Path(path).read_bytes().decode()
+        data = Path(path).read_bytes()
+        text = data.decode()
+    own = _own_payload_checksum(data)
+    del data  # the parse below needs only the text
     try:
         envelope = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an int too long to convert
@@ -317,7 +313,7 @@ def _verified_payload(path: Path) -> dict:
     envelope = envelope if isinstance(envelope, dict) else {}
     payload, checksum = envelope.get("payload"), envelope.get("checksum")
     if not isinstance(payload, dict) or not isinstance(checksum, str) or (
-        checksum != _own_payload_checksum(text, envelope)
+        (len(envelope) != 2 or checksum != own)
         and checksum != _payload_checksum(payload)
     ):
         raise ChecksumMismatch(f"checkpoint {path} failed its integrity check")

@@ -9,7 +9,7 @@ import yaml
 
 from gridtrade import reporting
 from gridtrade.cli import main
-from gridtrade.config import default_config_dict
+from gridtrade.config import default_config_dict, load_config
 from gridtrade.env import EnvConfig
 from gridtrade.errors import ChecksumMismatch, UnknownFormat
 from gridtrade.marl.train import Hyperparams, build_nets
@@ -680,6 +680,8 @@ class TestMalformedConfigValues:
         ("simulate", {"disruption": {"failure_hours": 24.0}}),
         ("simulate", {"disruption": {"ramp_floor": True, "p_gradual": 0.5}}),
         ("simulate", {"disruption": {"drop_hi": True}}),
+        ("simulate", {"disruption": {"drop_lo": 0.9, "drop_hi": 0.5}}),
+        ("simulate", {"disruption": {"drop_hi": 1.5}}),
         ("simulate", {"prices": {"feed_in": "0.2", "emergency_flat": 2.0}}),
         ("simulate", {"prices": {"emergency_flat": "2.0"}}),
         ("simulate", {"prices": {"emergency": ["2.0"] * 24}}),
@@ -700,7 +702,8 @@ class TestMalformedConfigValues:
             "margin-true", "margin-quoted", "beta-true", "e0-true", "obs-sigma-5e-2",
             "obs-sigma-quoted", "process-sigma-true", "window-past-3.0", "window-past-quoted",
             "mrda-rounds-quoted", "mrda-concession-quoted", "p-sudden-true", "ramp-hours-quoted",
-            "failure-hours-24.0", "ramp-floor-true", "drop-hi-true", "feed-in-quoted",
+            "failure-hours-24.0", "ramp-floor-true", "drop-hi-true", "drop-lo-above-hi",
+            "drop-hi-1.5", "feed-in-quoted",
             "emergency-flat-quoted", "emergency-hour-quoted", "emergency-hour-true",
             "noise-misspelt", "window-misspelt", "mrda-misspelt", "market-factor-misspelt",
             "prices-misspelt"])
@@ -750,3 +753,23 @@ class TestMalformedConfigValues:
         rc = main(["simulate", "--episodes", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: GRIDTRADE_SEED ")
+
+    @pytest.mark.parametrize("var,fleet_in_file,rc", [
+        ("GRIDTRADE_FLEET__1__BETA", True, 0),
+        ("GRIDTRADE_FLEET__4__BETA", True, 2),
+        ("GRIDTRADE_FLEET__1__BETA", False, 2),
+    ], ids=["member-1", "out-of-range", "bundled-fleet"])
+    def test_env_var_sets_one_fleet_member(self, var, fleet_in_file, rc, tmp_path,
+                                           monkeypatch, capsys):
+        raw = {"episodes": 1}
+        if fleet_in_file:
+            raw["fleet"] = default_config_dict()["fleet"]
+        monkeypatch.setenv(var, "0.5")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_cfg(tmp_path, **raw), "--out", str(out)]) == rc
+        if rc == 0:
+            raw["fleet"][1]["beta"] = 0.5
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config_hash"] == load_config(write_cfg(tmp_path, **raw)).hash()
+        else:
+            assert capsys.readouterr().err.startswith(f"config error: {var}: ")

@@ -157,6 +157,23 @@ class TestOverrides:
         with pytest.raises(ConfigInvalid, match="GRIDTRADE_SEED is not valid YAML"):
             apply_env_overrides({}, {"GRIDTRADE_SEED": value})
 
+    def test_env_var_indexes_a_list_the_file_holds(self):
+        shared = {"beta": 0.95}
+        raw = {"fleet": [shared, shared]}  # a YAML alias shares one mapping
+        out = apply_env_overrides(raw, {"GRIDTRADE_FLEET__0__BETA": "0.5"})
+        assert out["fleet"] == [{"beta": 0.5}, {"beta": 0.95}]
+        assert raw == {"fleet": [{"beta": 0.95}, {"beta": 0.95}]}
+
+    @pytest.mark.parametrize("raw,var", [
+        ({"fleet": [{"beta": 0.95}]}, "GRIDTRADE_FLEET__1__BETA"),
+        ({"fleet": [{"beta": 0.95}]}, "GRIDTRADE_FLEET__BETA"),
+        ({}, "GRIDTRADE_FLEET__0__BETA"),
+        ({"learner": {}}, "GRIDTRADE_LEARNER__ACTOR_HIDDEN__0"),
+    ], ids=["out-of-range", "key-into-list", "no-fleet-in-file", "no-list-in-file"])
+    def test_env_var_index_without_its_list_is_config_invalid(self, raw, var):
+        with pytest.raises(ConfigInvalid, match=f"^{var}: "):
+            apply_env_overrides(raw, {var: "0.5"})
+
     def test_env_var_ignored_without_prefix(self):
         raw = apply_env_overrides({}, {"OTHER_SEED": "9"})
         assert "seed" not in raw

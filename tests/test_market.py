@@ -203,6 +203,22 @@ class TestJpqHandTraces:
             (0, 3, 2, 0.65),
         ]
 
+    def test_surplus_failed_cross_retires_the_front_buyer(self):
+        # m=-1, p_e=3.5. B0 (k2 30) trades 2 @ 2.0 with S2; B1 0.5 < S3 2.0
+        # fails and retires the front buyer B0 (8 kWh left at 3.0), though
+        # B0 and S3 could trade; B1 then fails again and the book ends.
+        quotes = [q(0, 3.0, 10), q(1, 0.5, 1), q(2, -1.0, 2), q(3, -2.0, 5)]
+        ledger = clear_jpq(quotes, SURPLUS, p_e=3.5)
+        assert trades_as_tuples(ledger) == [(0, 2, 2, 2.0)]
+
+    def test_deficit_failed_cross_retires_the_front_seller(self):
+        # m=+1, p_e=3.5. S2 (k2 30) trades 2 @ 1.25 with B0; B1 1.0 < S3 3.0
+        # fails and retires the front seller S2 (8 kWh left at 0.5), so B1
+        # never meets it; B1 then fails against S3 and the book ends.
+        quotes = [q(0, 2.0, 2), q(1, 1.0, 5), q(2, -0.5, 10), q(3, -3.0, 1)]
+        ledger = clear_jpq(quotes, DEFICIT, p_e=3.5)
+        assert trades_as_tuples(ledger) == [(0, 2, 2, 1.25)]
+
     def test_exact_cross_full_fill_any_m(self):
         for m in (SURPLUS, BALANCED, DEFICIT):
             ledger = clear_jpq([q(0, 1.0, 5), q(1, -1.0, 5)], m, p_e=2.0)

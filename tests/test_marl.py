@@ -1,13 +1,13 @@
 """Learner component tests: GAE, PPO losses, optimizers, networks, and
 the fleet learner against its per-agent reference."""
 
-import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import gridtrade.marl.train as train_mod
 from gridtrade.env import (
     ACTION_DIM,
     DEFAULT_FLEET,
@@ -31,13 +31,13 @@ from gridtrade.marl.nets import (
     squash_correction,
 )
 from gridtrade.marl.ppo import (
+    OPTIMIZERS,
     Adam,
     Sgd,
     actor_loss,
     compute_gae,
     critic_loss,
     gradient_check,
-    make_optimizer,
     normalize_advantages,
     policy_logp_and_entropy,
 )
@@ -46,14 +46,11 @@ from gridtrade.marl.train import (
     TAG_SAMPLE,
     TAG_SHUFFLE,
     Hyperparams,
-    ObsNormalizer,
     build_nets,
+    observation_scales,
     train,
 )
 from gridtrade.scenario import rng_stream
-
-# `gridtrade.marl` re-exports the `train` function under the submodule's name
-train_mod = importlib.import_module("gridtrade.marl.train")
 
 
 def gae_double_sum(rewards, values, bootstrap, gamma, lam):
@@ -361,8 +358,8 @@ class TestPolicyNet:
             nets = build_nets(config, hyper, seed=0)
             train_mod._update_agents(
                 nets, episodes,
-                make_optimizer("adam", nets.actor.store, hyper.lr_actor),
-                make_optimizer("adam", nets.critic.store, hyper.lr_critic),
+                Adam(nets.actor.store, hyper.lr_actor),
+                Adam(nets.critic.store, hyper.lr_critic),
                 hyper, np.random.default_rng(0),
             )
             return nets
@@ -637,7 +634,7 @@ def reference_train(config, hyper, seed):
     """
     env = TradingEnv(config)
     n = config.n_agents
-    normalizer = ObsNormalizer(config)
+    scales = observation_scales(config)
     obs_dim = observation_dim(config)
     actors = [
         PolicyNet(obs_dim, lstm_hidden=hyper.lstm_hidden, trunk_hidden=hyper.actor_hidden,
@@ -649,8 +646,8 @@ def reference_train(config, hyper, seed):
         CriticNet(obs_dim * n, hidden=hyper.critic_hidden, rngs=[rng_stream(seed, TAG_INIT, i, 1)])
         for i in range(n)
     ]
-    actor_opts = [make_optimizer(hyper.optimizer, a.store, hyper.lr_actor) for a in actors]
-    critic_opts = [make_optimizer(hyper.optimizer, c.store, hyper.lr_critic) for c in critics]
+    actor_opts = [OPTIMIZERS[hyper.optimizer](a.store, hyper.lr_actor) for a in actors]
+    critic_opts = [OPTIMIZERS[hyper.optimizer](c.store, hyper.lr_critic) for c in critics]
     sample_rngs = [rng_stream(seed, TAG_SAMPLE, i) for i in range(n)]
     shuffle_rng = rng_stream(seed, TAG_SHUFFLE)
 
@@ -660,7 +657,7 @@ def reference_train(config, hyper, seed):
         hours = []
 
         def act(hour, obs):
-            norm_obs = normalizer(obs.as_matrix())
+            norm_obs = obs.as_matrix() / scales
             actions, presquash = np.empty((n, ACTION_DIM)), np.empty((n, ACTION_DIM))
             logp = np.empty(n)
             for i in range(n):

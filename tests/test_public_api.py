@@ -1,4 +1,5 @@
-"""Every public name in `src/gridtrade` has a caller or is documented.
+"""Every public name in `src/gridtrade` has a caller or is documented, and
+every module imports as itself.
 
 A public function, class, public method or UPPERCASE constant of a
 package module must be loaded (by name or as an attribute) somewhere in
@@ -8,6 +9,7 @@ acceptance tests. A name only the unit tests call belongs in those tests.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -69,3 +71,13 @@ def test_every_public_name_has_a_caller():
         if name not in used and name not in pinned
     ]
     assert not unused, f"public names with no caller in src and no pin: {unused}"
+
+
+def test_every_module_imports_as_itself():
+    # a package that binds a name over one of its submodules hands that name
+    # to `import gridtrade.<package>.<module> as m`
+    for path in MODULES:
+        name = ".".join(("gridtrade", *path.relative_to(SRC).with_suffix("").parts))
+        scope = {}
+        exec(f"import {name} as m", scope)
+        assert inspect.ismodule(scope["m"]), f"import {name} as m: {scope['m']!r}"

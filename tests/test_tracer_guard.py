@@ -5,7 +5,6 @@ Renaming or removing one of them breaks the benchmark's traced run; this
 test makes that a tier-1 failure as well.
 """
 
-import importlib
 import importlib.util
 from pathlib import Path
 
@@ -59,12 +58,11 @@ def test_install_patches_and_undo_restores_everything(tracing):
 
 def test_wrapped_names_are_still_called(tracing, tmp_path):
     # a refactor that keeps a wrapped name but stops calling it leaves its span empty
+    import gridtrade.marl.train as train_mod
     from gridtrade import runner
     from gridtrade.policies import ScriptedPolicy
     from gridtrade.reporting import TrajectoryWriter
 
-    # `gridtrade.marl` re-exports the `train` function under the submodule's name
-    train_mod = importlib.import_module("gridtrade.marl.train")
     hyper = train_mod.Hyperparams(episodes=1, lstm_hidden=4, actor_hidden=(8, 8),
                                   critic_hidden=(8, 8), epochs=1)
     tracer = tracing.Tracer()
